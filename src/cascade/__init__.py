@@ -6,13 +6,12 @@ local utility calculus. The main loop makes zero language-model calls;
 dialogue is an optional seam outside the tick pipeline.
 """
 
-from .engine import RunConfig, RunSummary, Simulation, replicate_roster
+from .engine import RunSummary, Simulation, replicate_roster
 from .scenario import Scenario, ScenarioError, load_scenario, load_scenario_file
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig",
     "RunSummary",
     "Scenario",
     "ScenarioError",

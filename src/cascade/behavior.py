@@ -20,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import NpcProfile, WorldLedger
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+from .core import COMPARE, NpcProfile, WorldLedger
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +44,7 @@ class Condition:
             actual = ledger.intensity(key)
         else:
             raise KeyError(f"condition field {self.field!r} has unknown namespace")
-        return _CMP[self.op](actual, self.value)
+        return COMPARE[self.op](actual, self.value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,10 +33,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario_file(path)
-
-
 def _seed_for(scenario: Scenario, seed: Optional[int]) -> int:
     if seed is None:
         return scenario.seed_default
@@ -47,7 +43,7 @@ def _seed_for(scenario: Scenario, seed: Optional[int]) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args.scenario)
+        scenario = load_scenario_file(args.scenario)
     except ScenarioError as exc:
         for line in exc.errors:
             print(f"scenario error: {line}", file=sys.stderr)
@@ -92,7 +88,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not scales or any(n < 1 for n in scales):
         return _fail("--npcs needs at least one positive town size", EXIT_INPUT)
     try:
-        scenario = _load(args.scenario)
+        scenario = load_scenario_file(args.scenario)
         seed = _seed_for(scenario, args.seed)
     except ScenarioError as exc:
         for line in exc.errors:
@@ -110,6 +106,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             elapsed = time.perf_counter() - started
         except InvariantViolation as exc:
             return _fail(f"invariant violation: {exc}", EXIT_INVARIANT)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_INPUT)
         collector = sim.trace
         rows.append({
             "npcs": n,

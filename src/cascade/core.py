@@ -8,6 +8,7 @@ package mutates one after construction.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -19,7 +20,7 @@ TAG_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
 SEASONS = ("Dry", "Temperate", "Rainy")
 
-COMPARATORS = (">=", "<=")
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class InvariantViolation(RuntimeError):
@@ -89,6 +90,11 @@ class VariablePredicate:
     def describe(self) -> str:
         bound = self.level.label if self.level is not None else self.intensity
         return f"{self.variable} {self.op} {bound}"
+
+    def holds(self, ledger: "WorldLedger") -> bool:
+        if self.level is not None:
+            return COMPARE[self.op](ledger.level(self.variable), self.level)
+        return COMPARE[self.op](ledger.intensity(self.variable), self.intensity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,21 +221,6 @@ class Directive:
     ttl_ticks: int  # >= 1
 
 
-PACKET_FIELDS = (
-    "id",
-    "source_module",
-    "cause_event",
-    "selector_mode",
-    "selector_tags",
-    "action_id",
-    "parameters",
-    "base_priority",
-    "risk",
-    "issued_tick",
-    "ttl_ticks",
-)
-
-
 def directive_to_packet(d: Directive) -> dict[str, Any]:
     """Wire form of a directive: the flat JSON object recorded in traces."""
     return {
@@ -245,21 +236,6 @@ def directive_to_packet(d: Directive) -> dict[str, Any]:
         "issued_tick": d.issued_tick,
         "ttl_ticks": d.ttl_ticks,
     }
-
-
-def directive_from_packet(packet: dict[str, Any]) -> Directive:
-    return Directive(
-        id=packet["id"],
-        source_module=packet["source_module"],
-        cause_event=packet["cause_event"],
-        selector=TagSelector(packet["selector_mode"], tuple(packet["selector_tags"])),
-        action_id=packet["action_id"],
-        parameters=dict(packet["parameters"]),
-        base_priority=packet["base_priority"],
-        risk=packet["risk"],
-        issued_tick=packet["issued_tick"],
-        ttl_ticks=packet["ttl_ticks"],
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,177 +281,3 @@ def validate_profile(npc: NpcProfile) -> list[str]:
     elif npc.local_state["wealth"] < 0:
         problems.append(f"local_state.wealth: {npc.local_state['wealth']} must be >= 0")
     return problems
-
-
-# --- serialization -----------------------------------------------------------
-# Round-trip helpers for the record types that cross process boundaries
-# (trace payloads, tests, tooling). from_dict(to_dict(x)) == x.
-
-
-def variable_to_dict(v: CausalVariable) -> dict[str, Any]:
-    return {
-        "name": v.name,
-        "intensity": v.intensity,
-        "history": [[t, x] for t, x in v.history],
-    }
-
-
-def variable_from_dict(d: dict[str, Any]) -> CausalVariable:
-    return CausalVariable(
-        name=d["name"],
-        intensity=d["intensity"],
-        history=tuple((t, x) for t, x in d["history"]),
-    )
-
-
-def _predicate_to_dict(p: VariablePredicate) -> dict[str, Any]:
-    out: dict[str, Any] = {"variable": p.variable, "op": p.op}
-    if p.level is not None:
-        out["level"] = p.level.label
-    else:
-        out["intensity"] = p.intensity
-    return out
-
-
-def _predicate_from_dict(d: dict[str, Any]) -> VariablePredicate:
-    return VariablePredicate(
-        variable=d["variable"],
-        op=d["op"],
-        level=LEVEL_BY_LABEL[d["level"]] if "level" in d else None,
-        intensity=d.get("intensity"),
-    )
-
-
-def rule_to_dict(r: MacroEventRule) -> dict[str, Any]:
-    return {
-        "id": r.id,
-        "name": r.name,
-        "trigger": [_predicate_to_dict(p) for p in r.trigger],
-        "consistency_requirements": [
-            {"field": q.field, "op": q.op, "value": q.value}
-            for q in r.consistency_requirements
-        ],
-        "effects": [
-            {"variable": e.variable, "delta_per_tick": e.delta_per_tick, "duration_ticks": e.duration_ticks}
-            for e in r.effects
-        ],
-        "cooldown_ticks": r.cooldown_ticks,
-    }
-
-
-def rule_from_dict(d: dict[str, Any]) -> MacroEventRule:
-    return MacroEventRule(
-        id=d["id"],
-        name=d["name"],
-        trigger=tuple(_predicate_from_dict(p) for p in d["trigger"]),
-        consistency_requirements=tuple(
-            LedgerRequirement(q["field"], q["op"], q["value"])
-            for q in d["consistency_requirements"]
-        ),
-        effects=tuple(
-            Effect(e["variable"], e["delta_per_tick"], e["duration_ticks"])
-            for e in d["effects"]
-        ),
-        cooldown_ticks=d["cooldown_ticks"],
-    )
-
-
-def event_to_dict(ev: MacroEvent) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "rule_id": ev.rule_id,
-        "instance_id": ev.instance_id,
-        "fired_tick": ev.fired_tick,
-        "trigger_snapshot": dict(ev.trigger_snapshot),
-    }
-    if ev.critic_verdict is not None:
-        out["critic_verdict"] = {
-            "accepted": ev.critic_verdict.accepted,
-            "reason": ev.critic_verdict.reason,
-            "violated_requirement": ev.critic_verdict.violated_requirement,
-        }
-    return out
-
-
-def event_from_dict(d: dict[str, Any]) -> MacroEvent:
-    verdict = None
-    if "critic_verdict" in d:
-        v = d["critic_verdict"]
-        verdict = CriticVerdict(v["accepted"], v["reason"], v["violated_requirement"])
-    return MacroEvent(
-        rule_id=d["rule_id"],
-        instance_id=d["instance_id"],
-        fired_tick=d["fired_tick"],
-        trigger_snapshot=dict(d["trigger_snapshot"]),
-        critic_verdict=verdict,
-    )
-
-
-def ledger_to_dict(ledger: WorldLedger) -> dict[str, Any]:
-    return {
-        "tick": ledger.tick,
-        "season": ledger.season,
-        "variables": {name: variable_to_dict(v) for name, v in sorted(ledger.variables.items())},
-        "active_events": [
-            {
-                "instance_id": ae.instance_id,
-                "rule_id": ae.rule_id,
-                "effects": [
-                    {"variable": e.variable, "delta_per_tick": e.delta_per_tick, "remaining_ticks": e.remaining_ticks}
-                    for e in ae.effects
-                ],
-            }
-            for ae in ledger.active_events
-        ],
-        "fired_log": [event_to_dict(ev) for ev in ledger.fired_log],
-        "thresholds": {"elevated": ledger.thresholds.elevated, "critical": ledger.thresholds.critical},
-    }
-
-
-def ledger_from_dict(d: dict[str, Any]) -> WorldLedger:
-    return WorldLedger(
-        tick=d["tick"],
-        season=d["season"],
-        variables={name: variable_from_dict(v) for name, v in d["variables"].items()},
-        active_events=tuple(
-            ActiveEvent(
-                instance_id=ae["instance_id"],
-                rule_id=ae["rule_id"],
-                effects=tuple(
-                    ActiveEffect(e["variable"], e["delta_per_tick"], e["remaining_ticks"])
-                    for e in ae["effects"]
-                ),
-            )
-            for ae in d["active_events"]
-        ),
-        fired_log=tuple(event_from_dict(ev) for ev in d["fired_log"]),
-        thresholds=LevelThresholds(d["thresholds"]["elevated"], d["thresholds"]["critical"]),
-    )
-
-
-def profile_to_dict(npc: NpcProfile) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": npc.id,
-        "tags": list(npc.tags),
-        "role_tag": npc.role_tag,
-        "personality": dict(npc.personality),
-        "needs": dict(npc.needs),
-        "local_state": dict(npc.local_state),
-    }
-    if npc.last_migration is not None:
-        out["last_migration"] = list(npc.last_migration)
-    return out
-
-
-def profile_from_dict(d: dict[str, Any]) -> NpcProfile:
-    last = d.get("last_migration")
-    return NpcProfile(
-        id=d["id"],
-        tags=tuple(d["tags"]),
-        role_tag=d["role_tag"],
-        personality=dict(d["personality"]),
-        needs=dict(d["needs"]),
-        local_state=dict(d["local_state"]),
-        last_migration=(last[0], last[1]) if last is not None else None,
-    )
-
-

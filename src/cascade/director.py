@@ -8,6 +8,7 @@ the run's single generator.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -95,14 +96,6 @@ def advance_clock(
     )
 
 
-def _predicate_holds(pred, ledger: WorldLedger) -> bool:
-    if pred.level is not None:
-        actual, bound = ledger.level(pred.variable), pred.level
-    else:
-        actual, bound = ledger.intensity(pred.variable), pred.intensity
-    return actual >= bound if pred.op == ">=" else actual <= bound
-
-
 def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> list[MacroEvent]:
     """Return candidate events for rules whose full trigger conjunction holds,
     which are not currently active, and whose cooldown has elapsed. Candidates
@@ -121,7 +114,7 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
             continue
         if rule.id in last_fired and ledger.tick - last_fired[rule.id] <= rule.cooldown_ticks:
             continue
-        if all(_predicate_holds(p, ledger) for p in rule.trigger):
+        if all(p.holds(ledger) for p in rule.trigger):
             snapshot = {p.variable: ledger.intensity(p.variable) for p in rule.trigger}
             candidates.append(
                 MacroEvent(
@@ -134,12 +127,7 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
     return candidates
 
 
-_REQ_OPS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "ge": lambda a, b: a >= b,
-    "le": lambda a, b: a <= b,
-}
+_REQ_OPS = {"eq": operator.eq, "ne": operator.ne, "ge": operator.ge, "le": operator.le}
 
 
 def _requirement_holds(req, ledger: WorldLedger) -> tuple[bool, str]:

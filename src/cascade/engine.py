@@ -34,16 +34,6 @@ from .scenario import Scenario, initial_ledger
 from .trace import TraceCollector, TraceEvent, TraceWriter
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario_path: str
-    ticks: int
-    seed: Optional[int] = None  # None -> scenario seed_default
-    trace_path: Optional[str] = None
-    baseline_mode: str = "off"  # "off" | "full-generative"
-    npc_scale_override: Optional[int] = None
-
-
 @dataclass
 class RunSummary:
     ticks: int = 0
@@ -109,7 +99,11 @@ class Simulation:
         roster = scenario.npcs
         if npc_count is not None:
             roster = replicate_roster(roster, npc_count)
-        self.npcs: dict[str, NpcProfile] = {n.id: n for n in roster}
+        self.npcs: dict[str, NpcProfile] = {}
+        for npc in roster:
+            if npc.id in self.npcs:
+                raise ValueError(f"duplicate npc id {npc.id!r} in roster")
+            self.npcs[npc.id] = npc
         self._order = sorted(self.npcs)
         self.meta = run_meta(scenario, self.seed, len(roster))
         self.trace: Union[TraceWriter, TraceCollector]

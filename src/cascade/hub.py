@@ -35,14 +35,8 @@ class ActivationMatcher:
     def matches(self, event: MacroEvent, ledger: WorldLedger) -> bool:
         if self.rule_id is not None and event.rule_id != self.rule_id:
             return False
-        if self.condition is not None:
-            pred = self.condition
-            if pred.level is not None:
-                actual, bound = ledger.level(pred.variable), pred.level
-            else:
-                actual, bound = ledger.intensity(pred.variable), pred.intensity
-            if not (actual >= bound if pred.op == ">=" else actual <= bound):
-                return False
+        if self.condition is not None and not self.condition.holds(ledger):
+            return False
         return self.rule_id is not None or self.condition is not None
 
 
@@ -80,7 +74,6 @@ class DomainModuleSpec:
 class DeliveryRecord:
     directive_id: str
     npc_ids: tuple[str, ...]  # sorted
-    tick: int
 
 
 class DirectiveIdSource:
@@ -105,17 +98,6 @@ def route_activation(
     return awake
 
 
-def _template_applies(template: DirectiveTemplate, ledger: WorldLedger) -> bool:
-    if template.condition is None:
-        return True
-    pred = template.condition
-    if pred.level is not None:
-        actual, bound = ledger.level(pred.variable), pred.level
-    else:
-        actual, bound = ledger.intensity(pred.variable), pred.intensity
-    return actual >= bound if pred.op == ">=" else actual <= bound
-
-
 def compile_directives(
     module: DomainModuleSpec,
     event: MacroEvent,
@@ -127,7 +109,7 @@ def compile_directives(
     order so issue order is reproducible."""
     issued: list[Directive] = []
     for template in module.templates:
-        if not _template_applies(template, ledger):
+        if template.condition is not None and not template.condition.holds(ledger):
             continue
         parameters: dict[str, Scalar] = {}
         for name, expr in template.parameters.items():
@@ -161,7 +143,7 @@ def broadcast(directives: list[Directive], npcs: list[NpcProfile]) -> list[Deliv
         matched = sorted(
             npc.id for npc in npcs if selector_matches(directive.selector, npc.tags)
         )
-        records.append(DeliveryRecord(directive.id, tuple(matched), directive.issued_tick))
+        records.append(DeliveryRecord(directive.id, tuple(matched)))
     return records
 
 

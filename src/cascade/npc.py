@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol
 
 from .behavior import BTNode, evaluate
-from .core import Directive, InvariantViolation, NpcProfile, WorldLedger, clamp
+from .core import COMPARE, Directive, InvariantViolation, NpcProfile, WorldLedger, clamp
 from .trace import TraceEvent
 
 
@@ -183,14 +183,6 @@ def effective_margin(rule: TagMigrationRule) -> float:
     return 0.1 * abs(rule.threshold)
 
 
-_MIG_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def migrate_tags(
     npc: NpcProfile, rules: tuple[TagMigrationRule, ...], tick: int
 ) -> tuple[NpcProfile, list[TraceEvent]]:
@@ -204,7 +196,7 @@ def migrate_tags(
         if rule.from_tag != npc.role_tag:
             continue
         value = npc.local_state.get(rule.field, 0.0)
-        if not _MIG_OPS[rule.op](value, rule.threshold):
+        if not COMPARE[rule.op](value, rule.threshold):
             continue
         if npc.last_migration == (rule.to_tag, rule.from_tag):
             margin = effective_margin(rule)

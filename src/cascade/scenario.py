@@ -10,11 +10,13 @@ runtime would otherwise have to guess is settled here, at load time.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .behavior import ActionLeaf, BTNode, Condition, Selector, Sequence, guarantees_action, leaf_action_ids
 from .core import (
+    COMPARE,
     CausalVariable,
     Effect,
     LEVEL_BY_LABEL,
@@ -86,11 +88,8 @@ class _Errors:
 
 
 def _is_num(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_scalar(x: Any) -> bool:
-    return _is_num(x) or isinstance(x, str)
+    # Finite and float-sized: NaN, +-Infinity and huge integers fail the bound.
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _dict_or_empty(value: Any) -> dict:
@@ -122,7 +121,7 @@ def _num_field(obj: dict, key: str, path: str, errors: _Errors,
         return default
     value = obj[key]
     if not _is_num(value):
-        errors.add(f"{path}.{key}", f"expected a number, got {value!r}")
+        errors.add(f"{path}.{key}", f"expected a finite number, got {value!r}")
         return default
     if lo is not None and value < lo:
         errors.add(f"{path}.{key}", f"{value} below minimum {lo}")
@@ -231,7 +230,7 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
         fld = _str_field(obj, "field", path, errors)
         op = _str_field(obj, "op", path, errors)
         value = _num_field(obj, "value", path, errors)
-        if op is not None and op not in ("<", "<=", ">", ">="):
+        if op is not None and op not in COMPARE:
             errors.add(f"{path}.op", f"comparator must be one of < <= > >=, got {op!r}")
             return None
         if fld is None or op is None or value is None:
@@ -365,7 +364,7 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
                     continue
             elif fld == "tick":
                 if not _is_num(value):
-                    errors.add(f"{rpath}.value", f"expected a number, got {value!r}")
+                    errors.add(f"{rpath}.value", f"expected a finite number, got {value!r}")
                     continue
             elif fld in variables:
                 if isinstance(value, str):
@@ -429,7 +428,7 @@ def _parse_parameters(raw: Any, path: str, variables: set[str], errors: _Errors)
             if variable is None:
                 continue
             out[name] = ParameterExpr(variable, float(scale), float(offset))
-        elif _is_scalar(value):
+        elif _is_num(value) or isinstance(value, str):
             out[name] = value
         else:
             errors.add(ppath, f"expected a scalar or an expression object, got {value!r}")
@@ -550,7 +549,7 @@ def _parse_catalog(raw: Any, errors: _Errors) -> dict[str, ActionBinding]:
         effects: dict[str, float] = {}
         for key, delta in _dict_or_empty(obj.get("local_effects")).items():
             if not _is_num(delta):
-                errors.add(f"{path}.local_effects.{key}", f"expected a number, got {delta!r}")
+                errors.add(f"{path}.local_effects.{key}", f"expected a finite number, got {delta!r}")
                 continue
             effects[key] = float(delta)
         default = obj.get("default", False)
@@ -591,7 +590,7 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
                 continue
             for key, value in _dict_or_empty(values).items():
                 if not _is_num(value):
-                    errors.add(f"{path}.{section}.{key}", f"expected a number, got {value!r}")
+                    errors.add(f"{path}.{section}.{key}", f"expected a finite number, got {value!r}")
         if npc_id is None or role_tag is None:
             continue
         if npc_id in seen:
@@ -643,7 +642,7 @@ def _parse_migrations(raw: Any, errors: _Errors) -> list[TagMigrationRule]:
         op = _str_field(obj, "op", path, errors)
         threshold = _num_field(obj, "threshold", path, errors)
         margin = _num_field(obj, "hysteresis_margin", path, errors, lo=0.0)
-        if op is not None and op not in ("<", "<=", ">", ">="):
+        if op is not None and op not in COMPARE:
             errors.add(f"{path}.op", f"comparator must be one of < <= > >=, got {op!r}")
             continue
         if None in (from_tag, to_tag, fld, op, threshold):
@@ -686,6 +685,8 @@ def load_scenario(text: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"$: invalid JSON ({exc.msg} at line {exc.lineno})"]) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ScenarioError([f"$: invalid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError(["$: expected a top-level object"])
 

@@ -61,7 +61,7 @@ class TraceError(ValueError):
 
 
 def _dump(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 class TraceWriter:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from conftest import minimal_town
+
 from cascade.cli import EXIT_BENCH, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -165,6 +167,15 @@ def test_bench_rejects_malformed_sizes(golden_file, capsys):
     assert "--npcs expects" in capsys.readouterr().err
     assert run_cli("bench", "--scenario", golden_file, "--ticks", "2", "--npcs", "0,10") == EXIT_INPUT
     assert "positive town size" in capsys.readouterr().err
+
+
+def test_bench_rejects_colliding_replica_ids(tmp_path, capsys):
+    doc = minimal_town()
+    doc["npcs"] = [dict(doc["npcs"][0], id=npc_id) for npc_id in ("mayor", "mayor_x1")]
+    scenario = tmp_path / "collide.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("bench", "--scenario", str(scenario), "--ticks", "1", "--npcs", "4") == EXIT_INPUT
+    assert "duplicate npc id 'mayor_x1'" in capsys.readouterr().err
 
 
 def test_exit_code_constants():

@@ -329,6 +329,14 @@ def test_replicate_roster_rejects_bad_targets(golden):
         replicate_roster((), 5)
 
 
+def test_colliding_roster_ids_are_rejected():
+    # Replicating mayor and mayor_x1 to four NPCs yields mayor_x1 twice.
+    doc = minimal_town()
+    doc["npcs"] = [dict(doc["npcs"][0], id=npc_id) for npc_id in ("mayor", "mayor_x1")]
+    with pytest.raises(ValueError, match="duplicate npc id 'mayor_x1'"):
+        Simulation(load_town(doc), npc_count=4)
+
+
 def test_run_meta_shape(golden):
     meta = run_meta(golden, seed=7, npc_count=10)
     assert meta == {"scenario": "drought_town", "seed": 7, "schema_version": 1, "npc_count": 10}

@@ -184,7 +184,6 @@ def test_broadcast_resolves_selectors_and_sorts_ids():
     assert len(records) == 1
     assert records[0].directive_id == "d000001"
     assert records[0].npc_ids == ("abe", "zed")
-    assert records[0].tick == 4
 
 
 def test_broadcast_all_mode_requires_every_tag():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import load_town, minimal_town
@@ -124,6 +126,14 @@ def test_invalid_json_is_a_scenario_error():
     assert excinfo.value.errors[0].startswith("$: invalid JSON")
 
 
+def test_overlong_integer_is_a_scenario_error():
+    # Interpreters with an int digit limit refuse the literal while parsing;
+    # without one it parses and fails the finite-number check.
+    text = json.dumps(minimal_town()).replace('"intensity": 0.5', '"intensity": 1' + "0" * 5000)
+    with pytest.raises(ScenarioError):
+        load_scenario(text)
+
+
 def test_non_object_document():
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario("[1, 2]")
@@ -171,6 +181,26 @@ def test_variable_intensity_bounds():
     doc = minimal_town()
     doc["ledger_init"]["variables"][0]["intensity"] = 1.5
     assert "ledger_init.variables[0].intensity: 1.5 above maximum 1.0" in errors_from(doc)
+
+
+# Each slot puts a value where the loader expects a plain number.
+NUMBER_SLOTS = {
+    "utility_weights.threshold": lambda doc, v: doc.update(utility_weights={"threshold": v}),
+    "ledger_init.variables[0].intensity": lambda doc, v: doc["ledger_init"]["variables"][0].update(intensity=v),
+    "npcs[0].local_state.wealth": lambda doc, v: doc["npcs"][0]["local_state"].update(wealth=v),
+    "drift_schedule[0].delta_per_tick": lambda doc, v: doc.update(
+        drift_schedule=[{"variable": "pressure", "delta_per_tick": v, "start_tick": 1, "end_tick": 5}]
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("path", sorted(NUMBER_SLOTS))
+def test_non_finite_and_oversized_numbers_fail_at_load(path, value):
+    doc = minimal_town()
+    NUMBER_SLOTS[path](doc, value)
+    assert f"{path}: expected a finite number, got {value!r}" in errors_from(doc)
 
 
 def test_season_vocabulary():

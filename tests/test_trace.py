@@ -56,6 +56,12 @@ def test_lines_are_compact_with_sorted_keys():
     assert second == '{"kind":"ActionExecuted","npc":"solo","phase":"Act","tick":1,"z":1}'
 
 
+def test_writer_refuses_non_finite_numbers():
+    writer = TraceWriter(io.StringIO(), META)
+    with pytest.raises(ValueError):
+        writer.emit(TraceEvent(1, "Score", "UtilityEvaluated", {"total": float("nan")}))
+
+
 def test_payload_flattens_beside_the_envelope():
     line = TraceEvent(2, "Score", "UtilityEvaluated", {"npc": "guard_1", "total": -0.4}).to_line_dict()
     assert line == {"tick": 2, "phase": "Score", "kind": "UtilityEvaluated", "npc": "guard_1", "total": -0.4}
