@@ -36,14 +36,9 @@ class DriftEntry:
     noise: float = 0.0  # uniform +/- amplitude added to the delta when > 0
 
 
-@dataclass(frozen=True, slots=True)
-class DriftSchedule:
-    entries: tuple[DriftEntry, ...] = ()
-
-
 def advance_clock(
     ledger: WorldLedger,
-    drifts: DriftSchedule,
+    drifts: tuple[DriftEntry, ...],
     rng: Optional[random.Random] = None,
 ) -> WorldLedger:
     """Advance one tick: apply in-window drifts, then active-event effects,
@@ -54,7 +49,7 @@ def advance_clock(
     start = dict(intensities)
 
     # Drift window test uses the tick being entered.
-    for entry in drifts.entries:
+    for entry in drifts:
         if entry.start_tick <= tick <= entry.end_tick:
             delta = entry.delta_per_tick
             if entry.noise > 0.0 and rng is not None:

@@ -118,6 +118,7 @@ class Simulation:
         self.directive_index: dict[str, Directive] = {}
         self.id_source = DirectiveIdSource()
         self.rules_by_id = {r.id: r for r in scenario.rules}
+        self.modules_by_id = {m.id: m for m in scenario.modules}
         self.provider = TemplateDialogueProvider()
         self.counter = LlmCallCounter()
         self.last_action: dict[str, Optional[str]] = {nid: None for nid in self._order}
@@ -171,20 +172,18 @@ class Simulation:
                 "event": event.instance_id,
             })
 
-        # Compile: awake modules turn templates into directives.
-        awake = {(module_id, event.instance_id) for module_id, event in activated}
+        # Compile: activated modules turn templates into directives, in
+        # event order and then module declaration order.
         fresh: list[Directive] = []
-        for event in accepted_events:
-            for module in self.scenario.modules:
-                if (module.id, event.instance_id) not in awake:
-                    continue
-                for directive in compile_directives(module, event, self.ledger, self.id_source):
-                    fresh.append(directive)
-                    self.directive_index[directive.id] = directive
-                    self.summary.directives_issued += 1
-                    self._emit(tick, "Compile", "DirectiveIssued", {
-                        "directive": directive_to_packet(directive),
-                    })
+        for module_id, event in activated:
+            module = self.modules_by_id[module_id]
+            for directive in compile_directives(module, event, self.ledger, self.id_source):
+                fresh.append(directive)
+                self.directive_index[directive.id] = directive
+                self.summary.directives_issued += 1
+                self._emit(tick, "Compile", "DirectiveIssued", {
+                    "directive": directive_to_packet(directive),
+                })
 
         # Deliver: one-shot tag-routed notification at the issue tick. The
         # directive stays in the active set until expiry so NPCs that

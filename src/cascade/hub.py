@@ -1,7 +1,7 @@
 """Coordination layer: sparse module activation and directive compilation.
 
 A domain module wakes only when one of its activation matchers recognises
-the fired event or the current variable levels. An awake module compiles
+the fired event or the current variable levels. A woken module compiles
 its directive templates into group-level packets routed by tag selector.
 Nothing here reads NPC state, so directive counts are independent of town
 size by construction.
@@ -91,11 +91,7 @@ def route_activation(
     event: MacroEvent, ledger: WorldLedger, modules: tuple[DomainModuleSpec, ...]
 ) -> list[str]:
     """Ids of modules woken by this event, in module declaration order."""
-    awake = []
-    for module in modules:
-        if any(m.matches(event, ledger) for m in module.activation):
-            awake.append(module.id)
-    return awake
+    return [module.id for module in modules if any(m.matches(event, ledger) for m in module.activation)]
 
 
 def compile_directives(

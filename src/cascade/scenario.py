@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Optional, Union
 
 from .behavior import ActionLeaf, BTNode, Condition, Selector, Sequence, guarantees_action, leaf_action_ids
 from .core import (
@@ -32,7 +32,7 @@ from .core import (
     is_valid_tag,
     validate_profile,
 )
-from .director import DriftEntry, DriftSchedule
+from .director import DriftEntry
 from .hub import ActivationMatcher, DirectiveTemplate, DomainModuleSpec, ParameterExpr
 from .npc import ActionBinding, TagMigrationRule, UtilityWeights
 
@@ -50,18 +50,16 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    version: str
     schema_version: int
     seed_default: int
     thresholds: LevelThresholds
     weights: UtilityWeights
     season: str
     variables: tuple[CausalVariable, ...]
-    drifts: DriftSchedule
+    drifts: tuple[DriftEntry, ...]
     rules: tuple[MacroEventRule, ...]
     modules: tuple[DomainModuleSpec, ...]
     catalog: dict[str, ActionBinding]
-    disposition_table: dict[str, dict[str, float]]
     npcs: tuple[NpcProfile, ...]
     migration_rules: tuple[TagMigrationRule, ...]
     tree: BTNode
@@ -94,6 +92,39 @@ def _is_num(x: Any) -> bool:
 
 def _dict_or_empty(value: Any) -> dict:
     return value if isinstance(value, dict) else {}
+
+
+def _items(raw: Any, path: str, errors: _Errors, nonempty: str = "") -> Optional[list[tuple[str, Any]]]:
+    """Pair each list entry with its path. A non-list is reported as
+    "expected a list"; with `nonempty` set, that message is reported
+    instead and an empty list fails too. Returns None on failure."""
+    if not isinstance(raw, list) or (nonempty and not raw):
+        errors.add(path, nonempty or "expected a list")
+        return None
+    return [(f"{path}[{i}]", entry) for i, entry in enumerate(raw)]
+
+
+def _claim(seen: set[str], key: Optional[str], path: str, what: str, errors: _Errors) -> bool:
+    """Record `key` as taken; report a repeat and return False."""
+    if key in seen:
+        errors.add(path, f"duplicate {what} {key!r}")
+        return False
+    if key is not None:
+        seen.add(key)
+    return True
+
+
+def _num_map(raw: Any, path: str, errors: _Errors, rule: str = "expected a finite number",
+             ok: Callable[[Any], bool] = lambda value: True) -> dict[str, float]:
+    """An object of numbers; entries that are not numbers or fail `ok` are
+    reported against `rule` and left out. A non-object reads as empty."""
+    out: dict[str, float] = {}
+    for key, value in _dict_or_empty(raw).items():
+        if _is_num(value) and ok(value):
+            out[key] = float(value)
+        else:
+            errors.add(f"{path}.{key}", f"{rule}, got {value!r}")
+    return out
 
 
 def _check_obj(obj: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...], errors: _Errors) -> bool:
@@ -215,15 +246,13 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
     if kind in ("selector", "sequence"):
         if not _check_obj(obj, path, ("kind", "children"), (), errors):
             return None
-        children = obj.get("children")
-        if not isinstance(children, list) or not children:
-            errors.add(f"{path}.children", "non-empty list required")
+        children = _items(obj.get("children"), f"{path}.children", errors, "non-empty list required")
+        if children is None:
             return None
-        parsed = [_parse_tree(c, f"{path}.children[{i}]", errors) for i, c in enumerate(children)]
+        parsed = [_parse_tree(child, cpath, errors) for cpath, child in children]
         if any(p is None for p in parsed):
             return None
-        nodes = tuple(p for p in parsed if p is not None)
-        return Selector(nodes) if kind == "selector" else Sequence(nodes)
+        return Selector(tuple(parsed)) if kind == "selector" else Sequence(tuple(parsed))
     if kind == "condition":
         if not _check_obj(obj, path, ("kind", "field", "op", "value"), (), errors):
             return None
@@ -256,35 +285,25 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
 
 def _parse_variables(raw: Any, errors: _Errors) -> list[CausalVariable]:
     out: list[CausalVariable] = []
-    if not isinstance(raw, list):
-        errors.add("ledger_init.variables", "expected a list")
-        return out
     seen: set[str] = set()
-    for i, obj in enumerate(raw):
-        path = f"ledger_init.variables[{i}]"
+    for path, obj in _items(raw, "ledger_init.variables", errors) or ():
         if not _check_obj(obj, path, ("name", "intensity"), (), errors):
             continue
         name = _tag_field(obj, "name", path, errors)
         intensity = _num_field(obj, "intensity", path, errors, lo=0.0, hi=1.0)
         if name is None or intensity is None:
             continue
-        if name in seen:
-            errors.add(f"{path}.name", f"duplicate variable {name!r}")
+        if not _claim(seen, name, f"{path}.name", "variable", errors):
             continue
-        seen.add(name)
         out.append(CausalVariable(name=name, intensity=float(intensity), history=((0, float(intensity)),)))
     return out
 
 
-def _parse_drifts(raw: Any, variables: set[str], errors: _Errors) -> DriftSchedule:
+def _parse_drifts(raw: Any, variables: set[str], errors: _Errors) -> tuple[DriftEntry, ...]:
     entries: list[DriftEntry] = []
     if raw is None:
-        return DriftSchedule()
-    if not isinstance(raw, list):
-        errors.add("drift_schedule", "expected a list")
-        return DriftSchedule()
-    for i, obj in enumerate(raw):
-        path = f"drift_schedule[{i}]"
+        return ()
+    for path, obj in _items(raw, "drift_schedule", errors) or ():
         if not _check_obj(obj, path, ("variable", "delta_per_tick", "start_tick", "end_tick"), ("noise",), errors):
             continue
         variable = _str_field(obj, "variable", path, errors)
@@ -301,50 +320,35 @@ def _parse_drifts(raw: Any, variables: set[str], errors: _Errors) -> DriftSchedu
             errors.add(path, f"start_tick {start} exceeds end_tick {end}")
             continue
         entries.append(DriftEntry(variable, float(delta), start, end, float(noise)))
-    return DriftSchedule(tuple(entries))
+    return tuple(entries)
 
 
 def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEventRule]:
     out: list[MacroEventRule] = []
     if raw is None:
         return out
-    if not isinstance(raw, list):
-        errors.add("macro_rules", "expected a list")
-        return out
     seen: set[str] = set()
-    for i, obj in enumerate(raw):
-        path = f"macro_rules[{i}]"
+    for path, obj in _items(raw, "macro_rules", errors) or ():
         if not _check_obj(obj, path, ("id", "name", "trigger"),
                           ("consistency_requirements", "effects", "cooldown_ticks"), errors):
             continue
         rule_id = _tag_field(obj, "id", path, errors)
         name = _str_field(obj, "name", path, errors)
         cooldown = _int_field(obj, "cooldown_ticks", path, errors, lo=0, default=0)
-        if rule_id in seen:
-            errors.add(f"{path}.id", f"duplicate rule id {rule_id!r}")
+        if not _claim(seen, rule_id, f"{path}.id", "rule id", errors):
             continue
-        if rule_id is not None:
-            seen.add(rule_id)
 
-        trigger_raw = obj.get("trigger")
-        if not isinstance(trigger_raw, list) or not trigger_raw:
-            errors.add(f"{path}.trigger", "non-empty list of predicates required")
+        trigger_raw = _items(obj.get("trigger"), f"{path}.trigger", errors,
+                             "non-empty list of predicates required")
+        if trigger_raw is None:
             continue
-        trigger = [_parse_predicate(p, f"{path}.trigger[{j}]", variables, errors)
-                   for j, p in enumerate(trigger_raw)]
+        trigger = [_parse_predicate(p, ppath, variables, errors) for ppath, p in trigger_raw]
 
-        reqs_raw = obj.get("consistency_requirements", [])
-        effs_raw = obj.get("effects", [])
-        if not isinstance(reqs_raw, list):
-            errors.add(f"{path}.consistency_requirements", "expected a list")
-            reqs_raw = []
-        if not isinstance(effs_raw, list):
-            errors.add(f"{path}.effects", "expected a list")
-            effs_raw = []
+        reqs_raw = _items(obj.get("consistency_requirements", []), f"{path}.consistency_requirements", errors)
+        effs_raw = _items(obj.get("effects", []), f"{path}.effects", errors)
 
         requirements: list[LedgerRequirement] = []
-        for j, req in enumerate(reqs_raw):
-            rpath = f"{path}.consistency_requirements[{j}]"
+        for rpath, req in reqs_raw or ():
             if not _check_obj(req, rpath, ("field", "op", "value"), (), errors):
                 continue
             fld = _str_field(req, "field", rpath, errors)
@@ -380,8 +384,7 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
             requirements.append(LedgerRequirement(fld, op, value))
 
         effects: list[Effect] = []
-        for j, eff in enumerate(effs_raw):
-            epath = f"{path}.effects[{j}]"
+        for epath, eff in effs_raw or ():
             if not _check_obj(eff, epath, ("variable", "delta_per_tick", "duration_ticks"), (), errors):
                 continue
             variable = _str_field(eff, "variable", epath, errors)
@@ -399,7 +402,7 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
         out.append(MacroEventRule(
             id=rule_id,
             name=name,
-            trigger=tuple(t for t in trigger if t is not None),
+            trigger=tuple(trigger),
             consistency_requirements=tuple(requirements),
             effects=tuple(effects),
             cooldown_ticks=cooldown or 0,
@@ -440,28 +443,20 @@ def _parse_modules(raw: Any, variables: set[str], rule_ids: set[str],
     out: list[DomainModuleSpec] = []
     if raw is None:
         return out
-    if not isinstance(raw, list):
-        errors.add("domain_modules", "expected a list")
-        return out
     seen: set[str] = set()
-    for i, obj in enumerate(raw):
-        path = f"domain_modules[{i}]"
+    for path, obj in _items(raw, "domain_modules", errors) or ():
         if not _check_obj(obj, path, ("id", "activation", "directives"), (), errors):
             continue
         module_id = _tag_field(obj, "id", path, errors)
-        if module_id in seen:
-            errors.add(f"{path}.id", f"duplicate module id {module_id!r}")
+        if not _claim(seen, module_id, f"{path}.id", "module id", errors):
             continue
-        if module_id is not None:
-            seen.add(module_id)
 
         matchers: list[ActivationMatcher] = []
-        activation_raw = obj.get("activation")
-        if not isinstance(activation_raw, list) or not activation_raw:
-            errors.add(f"{path}.activation", "non-empty list of matchers required")
+        activation_raw = _items(obj.get("activation"), f"{path}.activation", errors,
+                                "non-empty list of matchers required")
+        if activation_raw is None:
             continue
-        for j, m in enumerate(activation_raw):
-            mpath = f"{path}.activation[{j}]"
+        for mpath, m in activation_raw:
             if not _check_obj(m, mpath, (), ("rule_id", "condition"), errors):
                 continue
             if "rule_id" not in m and "condition" not in m:
@@ -479,12 +474,10 @@ def _parse_modules(raw: Any, variables: set[str], rule_ids: set[str],
             matchers.append(ActivationMatcher(rule_id=rule_id, condition=condition))
 
         templates: list[DirectiveTemplate] = []
-        directives_raw = obj.get("directives")
-        if not isinstance(directives_raw, list):
-            errors.add(f"{path}.directives", "expected a list")
+        directives_raw = _items(obj.get("directives"), f"{path}.directives", errors)
+        if directives_raw is None:
             continue
-        for j, t in enumerate(directives_raw):
-            tpath = f"{path}.directives[{j}]"
+        for tpath, t in directives_raw:
             if not _check_obj(t, tpath, ("selector", "action_id", "base_priority", "risk", "ttl_ticks"),
                               ("parameters", "condition"), errors):
                 continue
@@ -520,38 +513,19 @@ def _parse_modules(raw: Any, variables: set[str], rule_ids: set[str],
 
 def _parse_catalog(raw: Any, errors: _Errors) -> dict[str, ActionBinding]:
     out: dict[str, ActionBinding] = {}
-    if not isinstance(raw, list) or not raw:
-        errors.add("action_catalog", "non-empty list of action bindings required")
-        return out
-    for i, obj in enumerate(raw):
-        path = f"action_catalog[{i}]"
+    seen: set[str] = set()
+    for path, obj in _items(raw, "action_catalog", errors, "non-empty list of action bindings required") or ():
         if not _check_obj(obj, path, ("action_id",),
                           ("trait_affinities", "satisfies_needs", "local_effects", "default"), errors):
             continue
         action_id = _tag_field(obj, "action_id", path, errors)
-        if action_id is None:
+        if action_id is None or not _claim(seen, action_id, f"{path}.action_id", "action", errors):
             continue
-        if action_id in out:
-            errors.add(f"{path}.action_id", f"duplicate action {action_id!r}")
-            continue
-        affinities: dict[str, float] = {}
-        for trait, sign in _dict_or_empty(obj.get("trait_affinities")).items():
-            if isinstance(sign, bool) or sign not in (1, -1):
-                errors.add(f"{path}.trait_affinities.{trait}", f"sign must be 1 or -1, got {sign!r}")
-                continue
-            affinities[trait] = float(sign)
-        needs: dict[str, float] = {}
-        for need, relief in _dict_or_empty(obj.get("satisfies_needs")).items():
-            if not _is_num(relief) or not 0.0 <= relief <= 1.0:
-                errors.add(f"{path}.satisfies_needs.{need}", f"relief must be in [0, 1], got {relief!r}")
-                continue
-            needs[need] = float(relief)
-        effects: dict[str, float] = {}
-        for key, delta in _dict_or_empty(obj.get("local_effects")).items():
-            if not _is_num(delta):
-                errors.add(f"{path}.local_effects.{key}", f"expected a finite number, got {delta!r}")
-                continue
-            effects[key] = float(delta)
+        affinities = _num_map(obj.get("trait_affinities"), f"{path}.trait_affinities", errors,
+                              "sign must be 1 or -1", lambda sign: sign in (1, -1))
+        needs = _num_map(obj.get("satisfies_needs"), f"{path}.satisfies_needs", errors,
+                         "relief must be in [0, 1]", lambda relief: 0.0 <= relief <= 1.0)
+        effects = _num_map(obj.get("local_effects"), f"{path}.local_effects", errors)
         default = obj.get("default", False)
         if not isinstance(default, bool):
             errors.add(f"{path}.default", f"expected a boolean, got {default!r}")
@@ -568,12 +542,8 @@ def _parse_catalog(raw: Any, errors: _Errors) -> dict[str, ActionBinding]:
 
 def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors: _Errors) -> list[NpcProfile]:
     out: list[NpcProfile] = []
-    if not isinstance(raw, list):
-        errors.add("npcs", "expected a list")
-        return out
     seen: set[str] = set()
-    for i, obj in enumerate(raw):
-        path = f"npcs[{i}]"
+    for path, obj in _items(raw, "npcs", errors) or ():
         if not _check_obj(obj, path, ("id", "tags", "role_tag", "local_state"),
                           ("personality", "needs"), errors):
             continue
@@ -583,20 +553,16 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
         if not isinstance(tags_raw, list):
             errors.add(f"{path}.tags", "expected a list")
             continue
+        sections: dict[str, dict[str, float]] = {}
         for section in ("personality", "needs", "local_state"):
             values = obj.get(section)
             if values is not None and not isinstance(values, dict):
                 errors.add(f"{path}.{section}", "expected an object")
-                continue
-            for key, value in _dict_or_empty(values).items():
-                if not _is_num(value):
-                    errors.add(f"{path}.{section}.{key}", f"expected a finite number, got {value!r}")
+            sections[section] = _num_map(values, f"{path}.{section}", errors)
         if npc_id is None or role_tag is None:
             continue
-        if npc_id in seen:
-            errors.add(f"{path}.id", f"duplicate npc id {npc_id!r}")
+        if not _claim(seen, npc_id, f"{path}.id", "npc id", errors):
             continue
-        seen.add(npc_id)
 
         # Disposition tags contribute personality in tag order; explicit
         # entries override the table.
@@ -604,17 +570,15 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
         for tag in tags_raw:
             if isinstance(tag, str) and tag in disposition_table:
                 personality.update(disposition_table[tag])
-        personality.update(
-            {k: float(v) for k, v in _dict_or_empty(obj.get("personality")).items() if _is_num(v)}
-        )
+        personality.update(sections["personality"])
 
         profile = NpcProfile(
             id=npc_id,
             tags=tuple(t for t in tags_raw if isinstance(t, str)),
             role_tag=role_tag,
             personality=personality,
-            needs={k: float(v) for k, v in _dict_or_empty(obj.get("needs")).items() if _is_num(v)},
-            local_state={k: float(v) for k, v in _dict_or_empty(obj.get("local_state")).items() if _is_num(v)},
+            needs=sections["needs"],
+            local_state=sections["local_state"],
         )
         violations = validate_profile(profile)
         for violation in violations:
@@ -628,11 +592,7 @@ def _parse_migrations(raw: Any, errors: _Errors) -> list[TagMigrationRule]:
     out: list[TagMigrationRule] = []
     if raw is None:
         return out
-    if not isinstance(raw, list):
-        errors.add("migration_rules", "expected a list")
-        return out
-    for i, obj in enumerate(raw):
-        path = f"migration_rules[{i}]"
+    for path, obj in _items(raw, "migration_rules", errors) or ():
         if not _check_obj(obj, path, ("from_tag", "to_tag", "field", "op", "threshold"),
                           ("hysteresis_margin",), errors):
             continue
@@ -696,11 +656,11 @@ def load_scenario(text: str) -> Scenario:
     if schema_version != SCHEMA_VERSION:
         errors.add("schema_version", f"expected {SCHEMA_VERSION}, got {schema_version!r}")
 
-    name, version = "", "1"
+    name = ""
     meta = raw.get("meta")
     if _check_obj(meta, "meta", ("name",), ("version",), errors):
         name = _str_field(meta, "name", "meta", errors) or ""
-        version = _str_field(meta, "version", "meta", errors, default="1") or "1"
+        _str_field(meta, "version", "meta", errors)
 
     seed_default = _int_field(raw, "seed_default", "$", errors, lo=0, default=0) or 0
 
@@ -719,14 +679,14 @@ def load_scenario(text: str) -> Scenario:
     weights = UtilityWeights()
     if "utility_weights" in raw:
         obj = raw["utility_weights"]
-        if _check_obj(obj, "utility_weights", (), ("base", "trait", "need", "risk", "threshold"), errors):
-            weights = UtilityWeights(
-                base=float(_num_field(obj, "base", "utility_weights", errors, lo=0.0, default=1.0)),
-                trait=float(_num_field(obj, "trait", "utility_weights", errors, lo=0.0, default=1.0)),
-                need=float(_num_field(obj, "need", "utility_weights", errors, lo=0.0, default=1.0)),
-                risk=float(_num_field(obj, "risk", "utility_weights", errors, lo=0.0, default=1.0)),
-                threshold=float(_num_field(obj, "threshold", "utility_weights", errors, default=0.5)),
-            )
+        defaults = asdict(weights)
+        if _check_obj(obj, "utility_weights", (), tuple(defaults), errors):
+            # Every weight but the acceptance threshold is non-negative.
+            weights = UtilityWeights(**{
+                key: float(_num_field(obj, key, "utility_weights", errors,
+                                      lo=None if key == "threshold" else 0.0, default=default))
+                for key, default in defaults.items()
+            })
 
     season = "Temperate"
     variables: list[CausalVariable] = []
@@ -751,13 +711,8 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(traits, dict):
             errors.add(path, "expected an object of trait weights")
             continue
-        entry: dict[str, float] = {}
-        for trait, weight in traits.items():
-            if not _is_num(weight) or not -1.0 <= weight <= 1.0:
-                errors.add(f"{path}.{trait}", f"weight must be in [-1, 1], got {weight!r}")
-                continue
-            entry[trait] = float(weight)
-        disposition_table[tag] = entry
+        disposition_table[tag] = _num_map(traits, path, errors,
+                                          "weight must be in [-1, 1]", lambda weight: -1.0 <= weight <= 1.0)
 
     catalog = _parse_catalog(raw.get("action_catalog"), errors)
     if catalog and not any(b.default for b in catalog.values()):
@@ -791,7 +746,6 @@ def load_scenario(text: str) -> Scenario:
     assert tree is not None
     return Scenario(
         name=name,
-        version=version,
         schema_version=SCHEMA_VERSION,
         seed_default=seed_default,
         thresholds=thresholds,
@@ -802,7 +756,6 @@ def load_scenario(text: str) -> Scenario:
         rules=tuple(rules),
         modules=tuple(modules),
         catalog=catalog,
-        disposition_table=disposition_table,
         npcs=tuple(npcs),
         migration_rules=tuple(migrations),
         tree=tree,

@@ -22,7 +22,6 @@ from cascade.core import (
 )
 from cascade.director import (
     DriftEntry,
-    DriftSchedule,
     advance_clock,
     apply_event,
     critic_check,
@@ -53,7 +52,7 @@ def drought_rule(**overrides) -> MacroEventRule:
 
 def test_drift_applies_inside_window():
     ledger = ledger_with(water_scarcity=0.75)
-    drifts = DriftSchedule((DriftEntry("water_scarcity", 0.1, 1, 30),))
+    drifts = (DriftEntry("water_scarcity", 0.1, 1, 30),)
     after = advance_clock(ledger, drifts)
     assert after.tick == 1
     assert after.intensity("water_scarcity") == pytest.approx(0.85)
@@ -61,7 +60,7 @@ def test_drift_applies_inside_window():
 
 
 def test_drift_window_edges_are_inclusive():
-    drifts = DriftSchedule((DriftEntry("x", 0.1, 2, 3),))
+    drifts = (DriftEntry("x", 0.1, 2, 3),)
     ledger = ledger_with(tick=0, x=0.0)
     ledger = advance_clock(ledger, drifts)  # tick 1: before the window
     assert ledger.intensity("x") == 0.0
@@ -74,20 +73,20 @@ def test_drift_window_edges_are_inclusive():
 
 
 def test_drift_clamps_to_unit_interval():
-    drifts = DriftSchedule((DriftEntry("up", 0.3, 1, 5), DriftEntry("down", -0.4, 1, 5)))
+    drifts = (DriftEntry("up", 0.3, 1, 5), DriftEntry("down", -0.4, 1, 5))
     after = advance_clock(ledger_with(up=0.9, down=0.2), drifts)
     assert after.intensity("up") == 1.0
     assert after.intensity("down") == 0.0
 
 
 def test_drift_unknown_variable_raises():
-    drifts = DriftSchedule((DriftEntry("ghost", 0.1, 1, 5),))
+    drifts = (DriftEntry("ghost", 0.1, 1, 5),)
     with pytest.raises(KeyError):
         advance_clock(ledger_with(x=0.5), drifts)
 
 
 def test_drift_noise_is_reproducible_and_optional():
-    drifts = DriftSchedule((DriftEntry("x", 0.1, 1, 5, noise=0.05),))
+    drifts = (DriftEntry("x", 0.1, 1, 5, noise=0.05),)
     one = advance_clock(ledger_with(x=0.5), drifts, random.Random(7))
     two = advance_clock(ledger_with(x=0.5), drifts, random.Random(7))
     assert one.intensity("x") == two.intensity("x")
@@ -103,13 +102,13 @@ def test_active_effects_apply_then_expire():
     ledger = WorldLedger(
         tick=ledger.tick, variables=ledger.variables, season=ledger.season, active_events=(active,)
     )
-    ledger = advance_clock(ledger, DriftSchedule())
+    ledger = advance_clock(ledger, ())
     assert ledger.intensity("food_scarcity") == pytest.approx(0.22)
     assert ledger.active_events[0].effects[0].remaining_ticks == 1
-    ledger = advance_clock(ledger, DriftSchedule())
+    ledger = advance_clock(ledger, ())
     assert ledger.intensity("food_scarcity") == pytest.approx(0.24)
     assert ledger.active_events == ()  # exhausted events drop out
-    ledger = advance_clock(ledger, DriftSchedule())
+    ledger = advance_clock(ledger, ())
     assert ledger.intensity("food_scarcity") == pytest.approx(0.24)
 
 
@@ -123,12 +122,12 @@ def test_drifts_before_effects_with_clamp_between():
         season="Dry",
         active_events=(active,),
     )
-    after = advance_clock(ledger, DriftSchedule((DriftEntry("x", 0.1, 1, 5),)))
+    after = advance_clock(ledger, (DriftEntry("x", 0.1, 1, 5),))
     assert after.intensity("x") == pytest.approx(0.7)
 
 
 def test_history_records_one_entry_per_changed_variable():
-    drifts = DriftSchedule((DriftEntry("x", 0.1, 1, 5), DriftEntry("x", 0.05, 1, 5)))
+    drifts = (DriftEntry("x", 0.1, 1, 5), DriftEntry("x", 0.05, 1, 5))
     ledger = ledger_with(x=0.2, untouched=0.5)
     after = advance_clock(ledger, drifts)
     assert after.variables["x"].history == ((1, pytest.approx(0.35)),)
@@ -322,7 +321,7 @@ def test_rule_refires_after_effects_expire():
     ledger = ledger_with(x=0.9, y=0.1)
     fired_ticks = []
     for _ in range(6):
-        ledger = advance_clock(ledger, DriftSchedule())
+        ledger = advance_clock(ledger, ())
         for candidate in evaluate_rules(ledger, (rule,)):
             event = MacroEvent(
                 candidate.rule_id,
