@@ -17,15 +17,13 @@ from typing import Optional
 
 from .core import InvariantViolation
 from .engine import Simulation
-from .scenario import Scenario, ScenarioError, load_scenario_file
+from .scenario import MAX_SEED, Scenario, ScenarioError, load_scenario_file
 from .trace import DEFAULT_TOKENS_PER_CALL, TraceError, build_cost_report, read_trace_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_BENCH = 4
-
-MAX_SEED = 2**64 - 1
 
 
 def _fail(message: str, code: int) -> int:

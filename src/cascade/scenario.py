@@ -10,7 +10,6 @@ runtime would otherwise have to guess is settled here, at load time.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -37,6 +36,12 @@ from .hub import ActivationMatcher, DirectiveTemplate, DomainModuleSpec, Paramet
 from .npc import ActionBinding, TagMigrationRule, UtilityWeights
 
 SCHEMA_VERSION = 1
+# Largest magnitude of any scenario number. Sums and products of such
+# values stay far inside the float range over any run of practical length,
+# so state and trace never reach an infinity.
+MAX_NUMBER = 1e15
+MAX_SEED = 2**64 - 1
+_NUMBER = f"expected a number in [-{MAX_NUMBER:g}, {MAX_NUMBER:g}]"
 
 
 class ScenarioError(ValueError):
@@ -86,8 +91,8 @@ class _Errors:
 
 
 def _is_num(x: Any) -> bool:
-    # Finite and float-sized: NaN, +-Infinity and huge integers fail the bound.
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    # NaN, +-Infinity and huge integers all fail the bound.
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= MAX_NUMBER
 
 
 def _dict_or_empty(value: Any) -> dict:
@@ -114,7 +119,7 @@ def _claim(seen: set[str], key: Optional[str], path: str, what: str, errors: _Er
     return True
 
 
-def _num_map(raw: Any, path: str, errors: _Errors, rule: str = "expected a finite number",
+def _num_map(raw: Any, path: str, errors: _Errors, rule: str = _NUMBER,
              ok: Callable[[Any], bool] = lambda value: True) -> dict[str, float]:
     """An object of numbers; entries that are not numbers or fail `ok` are
     reported against `rule` and left out. A non-object reads as empty."""
@@ -152,7 +157,7 @@ def _num_field(obj: dict, key: str, path: str, errors: _Errors,
         return default
     value = obj[key]
     if not _is_num(value):
-        errors.add(f"{path}.{key}", f"expected a finite number, got {value!r}")
+        errors.add(f"{path}.{key}", f"{_NUMBER}, got {value!r}")
         return default
     if lo is not None and value < lo:
         errors.add(f"{path}.{key}", f"{value} below minimum {lo}")
@@ -368,7 +373,7 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
                     continue
             elif fld == "tick":
                 if not _is_num(value):
-                    errors.add(f"{rpath}.value", f"expected a finite number, got {value!r}")
+                    errors.add(f"{rpath}.value", f"{_NUMBER}, got {value!r}")
                     continue
             elif fld in variables:
                 if isinstance(value, str):
@@ -663,6 +668,8 @@ def load_scenario(text: str) -> Scenario:
         _str_field(meta, "version", "meta", errors)
 
     seed_default = _int_field(raw, "seed_default", "$", errors, lo=0, default=0) or 0
+    if seed_default > MAX_SEED:
+        errors.add("$.seed_default", f"seed must fit in 64 bits, got {seed_default}")
 
     thresholds = LevelThresholds()
     if "level_thresholds" in raw:

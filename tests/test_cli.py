@@ -76,6 +76,18 @@ def test_run_rejects_oversized_seed(golden_file, tmp_path, capsys):
     assert "seed must fit in 64 bits" in capsys.readouterr().err
 
 
+def test_run_rejects_oversized_seed_default(tmp_path, capsys):
+    doc = minimal_town()
+    doc["seed_default"] = 2**70
+    scenario = tmp_path / "big_seed.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    code = run_cli("run", "--scenario", str(scenario), "--ticks", "1", "--trace", str(trace))
+    assert code == EXIT_INPUT
+    assert "seed must fit in 64 bits" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_run_unwritable_trace_path(golden_file, tmp_path, capsys):
     code = run_cli("run", "--scenario", golden_file, "--ticks", "1", "--trace", str(tmp_path / "absent" / "t.jsonl"))
     assert code == EXIT_INVARIANT

@@ -33,8 +33,8 @@ TICKS = 6
 REPLACEMENTS = (None, True, "x", "Critical", -1, 0, 2, 0.5, 1e300, [], {}, ["x"], {"x": 1})
 
 DOCUMENTS = 4610
-LOADED = 727
-OUTCOMES_DIGEST = "c53c9b17b506ff6e94f5f2d9e47c317e4281ad99a2c2b7e5d831825aecaf8908"
+LOADED = 696
+OUTCOMES_DIGEST = "afba9cef89f36c2c4479fce37d4af239fe4324fe5fe3dc9b751a29d54df4f1ad"
 
 
 def _nodes(node: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:

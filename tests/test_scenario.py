@@ -194,13 +194,53 @@ NUMBER_SLOTS = {
 }
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
-                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400, 1e300],
+                         ids=["nan", "inf", "-inf", "1e400", "1e300"])
 @pytest.mark.parametrize("path", sorted(NUMBER_SLOTS))
 def test_non_finite_and_oversized_numbers_fail_at_load(path, value):
     doc = minimal_town()
     NUMBER_SLOTS[path](doc, value)
-    assert f"{path}: expected a finite number, got {value!r}" in errors_from(doc)
+    assert f"{path}: expected a number in [-1e+15, 1e+15], got {value!r}" in errors_from(doc)
+
+
+def test_numbers_at_the_magnitude_bound_load():
+    doc = minimal_town()
+    doc["npcs"][0]["local_state"]["wealth"] = 10**15
+    doc["action_catalog"][0]["local_effects"] = {"wealth": -1e15}
+    town = load_town(doc)
+    assert town.npcs[0].local_state["wealth"] == 1e15
+    assert town.catalog["idle"].local_effects == {"wealth": -1e15}
+
+
+def test_wealth_that_would_overflow_in_act_fails_at_load():
+    # Loaded, 1e308 wealth plus a 1e308 effect became inf on tick 1.
+    doc = minimal_town()
+    doc["npcs"][0]["local_state"]["wealth"] = 1e308
+    doc["action_catalog"][0]["local_effects"] = {"wealth": 1e308}
+    errors = errors_from(doc)
+    assert "action_catalog[0].local_effects.wealth: expected a number in [-1e+15, 1e+15], got 1e+308" in errors
+    assert "npcs[0].local_state.wealth: expected a number in [-1e+15, 1e+15], got 1e+308" in errors
+
+
+def test_parameter_that_would_overflow_in_compile_fails_at_load(golden_path):
+    # Loaded, this expression traced "amount": inf once the drought fired.
+    doc = json.loads(golden_path.read_text(encoding="utf-8"))
+    doc["domain_modules"][0]["directives"][0]["parameters"]["amount"] = {
+        "variable": "water_scarcity", "scale": 1e308, "offset": 1e308,
+    }
+    path = "domain_modules[0].directives[0].parameters.amount"
+    assert errors_from(doc) == [
+        f"{path}.scale: expected a number in [-1e+15, 1e+15], got 1e+308",
+        f"{path}.offset: expected a number in [-1e+15, 1e+15], got 1e+308",
+    ]
+
+
+def test_seed_default_must_fit_in_64_bits():
+    doc = minimal_town()
+    doc["seed_default"] = 2**64 - 1
+    assert load_town(doc).seed_default == 2**64 - 1
+    doc["seed_default"] = 2**64
+    assert errors_from(doc) == ["$.seed_default: seed must fit in 64 bits, got 18446744073709551616"]
 
 
 def test_season_vocabulary():
