@@ -100,9 +100,9 @@ def _dict_or_empty(value: Any) -> dict:
 
 
 def _items(raw: Any, path: str, errors: _Errors, nonempty: str = "") -> Optional[list[tuple[str, Any]]]:
-    """Pair each list entry with its path. A non-list is reported as
-    "expected a list"; with `nonempty` set, that message is reported
-    instead and an empty list fails too. Returns None on failure."""
+    """Pair each entry of a list with its path `path[i]`. A non-list is
+    reported as "expected a list"; when `nonempty` is given, it is the
+    message instead and an empty list fails too. None means it failed."""
     if not isinstance(raw, list) or (nonempty and not raw):
         errors.add(path, nonempty or "expected a list")
         return None
@@ -137,17 +137,14 @@ def _check_obj(obj: Any, path: str, required: tuple[str, ...], optional: tuple[s
     if not isinstance(obj, dict):
         errors.add(path, f"expected an object, got {type(obj).__name__}")
         return False
-    ok = True
+    reported = len(errors.items)
     for key in required:
         if key not in obj:
             errors.add(path, f"missing required field '{key}'")
-            ok = False
-    allowed = set(required) | set(optional)
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             errors.add(path, f"unknown field '{key}'")
-            ok = False
-    return ok
+    return len(errors.items) == reported
 
 
 def _num_field(obj: dict, key: str, path: str, errors: _Errors,
@@ -210,16 +207,13 @@ def _parse_predicate(obj: Any, path: str, variables: set[str], errors: _Errors) 
         errors.add(path, "exactly one of 'level' or 'intensity' is required")
         return None
     level = None
-    intensity = None
-    if has_level:
-        label = _str_field(obj, "level", path, errors)
-        if label is not None:
-            if label not in LEVEL_BY_LABEL:
-                errors.add(f"{path}.level", f"unknown level {label!r}")
-            else:
-                level = LEVEL_BY_LABEL[label]
-    else:
-        intensity = _num_field(obj, "intensity", path, errors, lo=0.0, hi=1.0)
+    label = _str_field(obj, "level", path, errors)
+    if label is not None:
+        if label not in LEVEL_BY_LABEL:
+            errors.add(f"{path}.level", f"unknown level {label!r}")
+        else:
+            level = LEVEL_BY_LABEL[label]
+    intensity = _num_field(obj, "intensity", path, errors, lo=0.0, hi=1.0)
     if variable is None or op is None or (level is None and intensity is None):
         return None
     return VariablePredicate(variable=variable, op=op, level=level, intensity=intensity)
@@ -288,6 +282,11 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
 # --- section parsers ---------------------------------------------------------
 
 
+def _optional_list(raw: dict, key: str) -> Any:
+    """An optional top-level list: absent and null both read as empty."""
+    return [] if raw.get(key) is None else raw[key]
+
+
 def _parse_variables(raw: Any, errors: _Errors) -> list[CausalVariable]:
     out: list[CausalVariable] = []
     seen: set[str] = set()
@@ -306,8 +305,6 @@ def _parse_variables(raw: Any, errors: _Errors) -> list[CausalVariable]:
 
 def _parse_drifts(raw: Any, variables: set[str], errors: _Errors) -> tuple[DriftEntry, ...]:
     entries: list[DriftEntry] = []
-    if raw is None:
-        return ()
     for path, obj in _items(raw, "drift_schedule", errors) or ():
         if not _check_obj(obj, path, ("variable", "delta_per_tick", "start_tick", "end_tick"), ("noise",), errors):
             continue
@@ -330,8 +327,6 @@ def _parse_drifts(raw: Any, variables: set[str], errors: _Errors) -> tuple[Drift
 
 def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEventRule]:
     out: list[MacroEventRule] = []
-    if raw is None:
-        return out
     seen: set[str] = set()
     for path, obj in _items(raw, "macro_rules", errors) or ():
         if not _check_obj(obj, path, ("id", "name", "trigger"),
@@ -417,12 +412,9 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
 
 def _parse_parameters(raw: Any, path: str, variables: set[str], errors: _Errors) -> dict[str, Union[Scalar, ParameterExpr]]:
     out: dict[str, Union[Scalar, ParameterExpr]] = {}
-    if raw is None:
-        return out
-    if not isinstance(raw, dict):
+    if raw is not None and not isinstance(raw, dict):
         errors.add(path, "expected an object")
-        return out
-    for name, value in raw.items():
+    for name, value in _dict_or_empty(raw).items():
         ppath = f"{path}.{name}"
         if isinstance(value, dict):
             if not _check_obj(value, ppath, ("variable",), ("scale", "offset"), errors):
@@ -446,8 +438,6 @@ def _parse_parameters(raw: Any, path: str, variables: set[str], errors: _Errors)
 def _parse_modules(raw: Any, variables: set[str], rule_ids: set[str],
                    action_ids: set[str], errors: _Errors) -> list[DomainModuleSpec]:
     out: list[DomainModuleSpec] = []
-    if raw is None:
-        return out
     seen: set[str] = set()
     for path, obj in _items(raw, "domain_modules", errors) or ():
         if not _check_obj(obj, path, ("id", "activation", "directives"), (), errors):
@@ -555,8 +545,7 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
         npc_id = _str_field(obj, "id", path, errors)
         role_tag = _str_field(obj, "role_tag", path, errors)
         tags_raw = obj.get("tags")
-        if not isinstance(tags_raw, list):
-            errors.add(f"{path}.tags", "expected a list")
+        if _items(tags_raw, f"{path}.tags", errors) is None:
             continue
         sections: dict[str, dict[str, float]] = {}
         for section in ("personality", "needs", "local_state"):
@@ -595,8 +584,6 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
 
 def _parse_migrations(raw: Any, errors: _Errors) -> list[TagMigrationRule]:
     out: list[TagMigrationRule] = []
-    if raw is None:
-        return out
     for path, obj in _items(raw, "migration_rules", errors) or ():
         if not _check_obj(obj, path, ("from_tag", "to_tag", "field", "op", "threshold"),
                           ("hysteresis_margin",), errors):
@@ -725,12 +712,12 @@ def load_scenario(text: str) -> Scenario:
     if catalog and not any(b.default for b in catalog.values()):
         errors.add("action_catalog", "at least one action must be marked default")
 
-    drifts = _parse_drifts(raw.get("drift_schedule"), variable_names, errors)
-    rules = _parse_rules(raw.get("macro_rules"), variable_names, errors)
+    drifts = _parse_drifts(_optional_list(raw, "drift_schedule"), variable_names, errors)
+    rules = _parse_rules(_optional_list(raw, "macro_rules"), variable_names, errors)
     rule_ids = {r.id for r in rules}
-    modules = _parse_modules(raw.get("domain_modules"), variable_names, rule_ids, set(catalog), errors)
+    modules = _parse_modules(_optional_list(raw, "domain_modules"), variable_names, rule_ids, set(catalog), errors)
     npcs = _parse_npcs(raw.get("npcs"), disposition_table, errors)
-    migrations = _parse_migrations(raw.get("migration_rules"), errors)
+    migrations = _parse_migrations(_optional_list(raw, "migration_rules"), errors)
 
     tree: Optional[BTNode] = None
     if "behavior_tree" in raw:
