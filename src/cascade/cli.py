@@ -31,27 +31,30 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _seed_for(scenario: Scenario, seed: Optional[int]) -> int:
-    if seed is None:
-        return scenario.seed_default
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    return seed
-
-
-def cmd_run(args: argparse.Namespace) -> int:
+def _open_scenario(args: argparse.Namespace) -> Optional[tuple[Scenario, int]]:
+    """Load `--scenario` and resolve the run seed. Problems are reported on
+    stderr and give None; the command then exits with EXIT_INPUT."""
     try:
         scenario = load_scenario_file(args.scenario)
     except ScenarioError as exc:
         for line in exc.errors:
             print(f"scenario error: {line}", file=sys.stderr)
+        return None
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read scenario: {exc}", file=sys.stderr)
+        return None
+    seed = scenario.seed_default if args.seed is None else args.seed
+    if not 0 <= seed <= MAX_SEED:
+        print(f"seed must fit in 64 bits, got {seed}", file=sys.stderr)
+        return None
+    return scenario, seed
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    opened = _open_scenario(args)
+    if opened is None:
         return EXIT_INPUT
-    except OSError as exc:
-        return _fail(f"cannot read scenario: {exc}", EXIT_INPUT)
-    try:
-        seed = _seed_for(scenario, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    scenario, seed = opened
 
     try:
         stream = open(args.trace, "w", encoding="utf-8")
@@ -85,15 +88,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--npcs expects a comma-separated list of integers, got {args.npcs!r}", EXIT_INPUT)
     if not scales or any(n < 1 for n in scales):
         return _fail("--npcs needs at least one positive town size", EXIT_INPUT)
-    try:
-        scenario = load_scenario_file(args.scenario)
-        seed = _seed_for(scenario, args.seed)
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(f"scenario error: {line}", file=sys.stderr)
+    opened = _open_scenario(args)
+    if opened is None:
         return EXIT_INPUT
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    scenario, seed = opened
 
     rows = []
     for n in scales:

@@ -51,6 +51,20 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_bench_missing_scenario(tmp_path, capsys):
+    code = run_cli("bench", "--scenario", str(tmp_path / "nope.json"), "--ticks", "1", "--npcs", "10")
+    assert code == EXIT_INPUT
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--trace", "t.jsonl"], ["bench", "--npcs", "10"]])
+def test_non_utf8_scenario_is_an_input_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"meta": {"name": "caf\xe9"}}')
+    assert run_cli(command[0], "--scenario", "latin1.json", "--ticks", "1", *command[1:]) == EXIT_INPUT
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
 def test_run_invalid_scenario_lists_every_problem(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 2}', encoding="utf-8")
