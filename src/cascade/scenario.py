@@ -122,9 +122,13 @@ def _claim(seen: set[str], key: Optional[str], path: str, what: str, errors: _Er
 def _num_map(raw: Any, path: str, errors: _Errors, rule: str = _NUMBER,
              ok: Callable[[Any], bool] = lambda value: True) -> dict[str, float]:
     """An object of numbers; entries that are not numbers or fail `ok` are
-    reported against `rule` and left out. A non-object reads as empty."""
+    reported against `rule` and left out. A non-object, null included, is
+    reported and reads as empty; callers default an absent key to `{}`."""
+    if not isinstance(raw, dict):
+        errors.add(path, "expected an object")
+        return {}
     out: dict[str, float] = {}
-    for key, value in _dict_or_empty(raw).items():
+    for key, value in raw.items():
         if _is_num(value) and ok(value):
             out[key] = float(value)
         else:
@@ -516,11 +520,11 @@ def _parse_catalog(raw: Any, errors: _Errors) -> dict[str, ActionBinding]:
         action_id = _tag_field(obj, "action_id", path, errors)
         if action_id is None or not _claim(seen, action_id, f"{path}.action_id", "action", errors):
             continue
-        affinities = _num_map(obj.get("trait_affinities"), f"{path}.trait_affinities", errors,
+        affinities = _num_map(obj.get("trait_affinities", {}), f"{path}.trait_affinities", errors,
                               "sign must be 1 or -1", lambda sign: sign in (1, -1))
-        needs = _num_map(obj.get("satisfies_needs"), f"{path}.satisfies_needs", errors,
+        needs = _num_map(obj.get("satisfies_needs", {}), f"{path}.satisfies_needs", errors,
                          "relief must be in [0, 1]", lambda relief: 0.0 <= relief <= 1.0)
-        effects = _num_map(obj.get("local_effects"), f"{path}.local_effects", errors)
+        effects = _num_map(obj.get("local_effects", {}), f"{path}.local_effects", errors)
         default = obj.get("default", False)
         if not isinstance(default, bool):
             errors.add(f"{path}.default", f"expected a boolean, got {default!r}")
@@ -544,15 +548,19 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
             continue
         npc_id = _str_field(obj, "id", path, errors)
         role_tag = _str_field(obj, "role_tag", path, errors)
-        tags_raw = obj.get("tags")
-        if _items(tags_raw, f"{path}.tags", errors) is None:
+        tag_items = _items(obj.get("tags"), f"{path}.tags", errors)
+        if tag_items is None:
             continue
-        sections: dict[str, dict[str, float]] = {}
-        for section in ("personality", "needs", "local_state"):
-            values = obj.get(section)
-            if values is not None and not isinstance(values, dict):
-                errors.add(f"{path}.{section}", "expected an object")
-            sections[section] = _num_map(values, f"{path}.{section}", errors)
+        tags: list[str] = []
+        for tag_path, tag in tag_items:
+            if isinstance(tag, str):
+                tags.append(tag)
+            else:
+                errors.add(tag_path, f"expected a string, got {tag!r}")
+        sections = {
+            section: _num_map(obj.get(section, {}), f"{path}.{section}", errors)
+            for section in ("personality", "needs", "local_state")
+        }
         if npc_id is None or role_tag is None:
             continue
         if not _claim(seen, npc_id, f"{path}.id", "npc id", errors):
@@ -561,14 +569,14 @@ def _parse_npcs(raw: Any, disposition_table: dict[str, dict[str, float]], errors
         # Disposition tags contribute personality in tag order; explicit
         # entries override the table.
         personality: dict[str, float] = {}
-        for tag in tags_raw:
-            if isinstance(tag, str) and tag in disposition_table:
+        for tag in tags:
+            if tag in disposition_table:
                 personality.update(disposition_table[tag])
         personality.update(sections["personality"])
 
         profile = NpcProfile(
             id=npc_id,
-            tags=tuple(t for t in tags_raw if isinstance(t, str)),
+            tags=tuple(tags),
             role_tag=role_tag,
             personality=personality,
             needs=sections["needs"],
@@ -701,9 +709,6 @@ def load_scenario(text: str) -> Scenario:
         path = f"disposition_table.{tag}"
         if not is_valid_tag(tag):
             errors.add(path, f"invalid tag {tag!r}")
-            continue
-        if not isinstance(traits, dict):
-            errors.add(path, "expected an object of trait weights")
             continue
         disposition_table[tag] = _num_map(traits, path, errors,
                                           "weight must be in [-1, 1]", lambda weight: -1.0 <= weight <= 1.0)

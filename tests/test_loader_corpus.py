@@ -33,8 +33,8 @@ TICKS = 6
 REPLACEMENTS = (None, True, "x", "Critical", -1, 0, 2, 0.5, 1e300, [], {}, ["x"], {"x": 1})
 
 DOCUMENTS = 4610
-LOADED = 696
-OUTCOMES_DIGEST = "afba9cef89f36c2c4479fce37d4af239fe4324fe5fe3dc9b751a29d54df4f1ad"
+LOADED = 499
+OUTCOMES_DIGEST = "8bfcebd8f46e0bbfb8811d3e2567c009b59e25e1ddf80aeb2ff1b8b4eb9d49a3"
 
 
 def _nodes(node: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:

@@ -414,6 +414,36 @@ def test_relief_bounds():
     )
 
 
+@pytest.mark.parametrize("key", ["trait_affinities", "satisfies_needs", "local_effects"])
+@pytest.mark.parametrize("value", ["x", [1], None])
+def test_catalog_number_maps_must_be_objects(key, value):
+    doc = minimal_town()
+    doc["action_catalog"].append({"action_id": "work", key: value})
+    assert errors_from(doc) == [f"action_catalog[1].{key}: expected an object"]
+
+
+@pytest.mark.parametrize("key", ["personality", "needs", "local_state"])
+def test_npc_number_maps_must_be_objects(key):
+    doc = minimal_town()
+    doc["npcs"][0][key] = None
+    assert errors_from(doc)[0] == f"npcs[0].{key}: expected an object"
+
+
+def test_disposition_entries_must_be_objects():
+    doc = minimal_town()
+    doc["disposition_table"] = {"Grim": [0.5]}
+    assert errors_from(doc) == ["disposition_table.Grim: expected an object"]
+
+
+def test_non_string_npc_tags_are_reported():
+    doc = minimal_town()
+    doc["npcs"][0]["tags"] = ["Villager", 5, None]
+    assert errors_from(doc) == [
+        "npcs[0].tags[1]: expected a string, got 5",
+        "npcs[0].tags[2]: expected a string, got None",
+    ]
+
+
 def test_npc_violations_carry_their_index():
     doc = minimal_town()
     doc["npcs"][0]["personality"] = {"greed": 2.0}
