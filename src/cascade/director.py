@@ -97,9 +97,15 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
     come back ordered by rule id; each carries a snapshot of the trigger
     variables' intensities."""
     active_rule_ids = {ae.rule_id for ae in ledger.active_events}
+    # apply_event appends in fired order, so walking the log backwards meets
+    # each rule's latest firing first. An entry older than the longest
+    # cooldown blocks no rule, and neither does anything before it.
+    horizon = ledger.tick - max((rule.cooldown_ticks for rule in rules), default=0)
     last_fired: dict[str, int] = {}
-    for ev in ledger.fired_log:
-        last_fired[ev.rule_id] = ev.fired_tick
+    for ev in reversed(ledger.fired_log):
+        if ev.fired_tick < horizon:
+            break
+        last_fired.setdefault(ev.rule_id, ev.fired_tick)
 
     candidates: list[MacroEvent] = []
     for rule in sorted(rules, key=lambda r: r.id):

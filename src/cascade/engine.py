@@ -115,7 +115,7 @@ class Simulation:
         self.rng = random.Random(self.seed)
         self.ledger = initial_ledger(scenario)
         self.active_directives: list[Directive] = []
-        self.directive_index: dict[str, Directive] = {}
+        self.directive_index: dict[str, Directive] = {}  # the live set by id, rebuilt in Score
         self.id_source = DirectiveIdSource()
         self.rules_by_id = {r.id: r for r in scenario.rules}
         self.modules_by_id = {m.id: m for m in scenario.modules}
@@ -179,7 +179,6 @@ class Simulation:
             module = self.modules_by_id[module_id]
             for directive in compile_directives(module, event, self.ledger, self.id_source):
                 fresh.append(directive)
-                self.directive_index[directive.id] = directive
                 self.summary.directives_issued += 1
                 self._emit(tick, "Compile", "DirectiveIssued", {
                     "directive": directive_to_packet(directive),
@@ -199,6 +198,7 @@ class Simulation:
 
         # Score: every NPC judges every live directive matching its tags.
         live = sorted(self.active_directives, key=lambda d: d.id)
+        self.directive_index = {d.id: d for d in live}
         accepted_by_npc: dict[str, list[UtilityBreakdown]] = {}
         for npc_id in self._order:
             npc = self.npcs[npc_id]

@@ -200,6 +200,30 @@ def test_cooldown_requires_strictly_more_ticks():
     assert len(at(16)) == 1  # 16 - 10 > cooldown
 
 
+class _Unreadable:
+    """A fired-log entry that fails when any of its fields is read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} of an entry outside every cooldown window")
+
+
+def test_rule_evaluation_reads_only_the_cooldown_window():
+    rules = (drought_rule(cooldown_ticks=5), drought_rule(id="flood", cooldown_ticks=2))
+    outside = MacroEvent("flood", "flood@90", 90, critic_verdict=CriticVerdict.accept())
+    inside = MacroEvent("severe_drought", "severe_drought@96", 96, critic_verdict=CriticVerdict.accept())
+
+    def at(tick: int) -> list[str]:
+        ledger = ledger_with(tick=tick, water_scarcity=0.9)
+        ledger = WorldLedger(
+            tick=tick, variables=ledger.variables, season=ledger.season,
+            fired_log=(_Unreadable(),) * 50 + (outside, inside),
+        )
+        return [c.rule_id for c in evaluate_rules(ledger, rules)]
+
+    assert at(100) == ["flood"]  # 100 - 96 <= 5 still blocks the drought
+    assert at(102) == ["flood", "severe_drought"]
+
+
 def test_empty_trigger_never_fires():
     rule = drought_rule(trigger=())
     assert evaluate_rules(ledger_with(water_scarcity=0.9), (rule,)) == []

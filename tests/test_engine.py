@@ -243,6 +243,16 @@ def test_same_seed_same_trace(golden):
     assert first.trace.events == second.trace.events
 
 
+def test_long_run_indexes_only_live_directives(golden_path):
+    doc = json.loads(golden_path.read_text(encoding="utf-8"))
+    (drift,) = doc["drift_schedule"]
+    drift["noise"] = 0.05
+    sim = Simulation(load_town(doc), seed=7)
+    sim.run(3000)
+    assert sim.summary.directives_issued > 100
+    assert sorted(sim.directive_index) == sorted(d.id for d in sim.active_directives)
+
+
 def test_dialogue_leaves_the_simulation_untouched(golden):
     plain = Simulation(golden, seed=7)
     plain.run(30)
