@@ -71,6 +71,8 @@ class CausalVariable:
 
     name: str
     intensity: float  # always in [0, 1]
+    # (tick, intensity) at load only; each later change is a Clock-phase
+    # VariableChanged trace line.
     history: tuple[tuple[int, float], ...] = ()
 
     def level(self, thresholds: LevelThresholds) -> Level:

@@ -42,8 +42,9 @@ def advance_clock(
     rng: Optional[random.Random] = None,
 ) -> WorldLedger:
     """Advance one tick: apply in-window drifts, then active-event effects,
-    clamping intensity to [0, 1]. One history entry per changed variable.
-    Active events whose effect counters are exhausted drop out."""
+    clamping intensity to [0, 1]. A variable whose intensity is unchanged
+    keeps its record. Active events whose effect counters are exhausted
+    drop out."""
     tick = ledger.tick + 1
     intensities = {name: v.intensity for name, v in ledger.variables.items()}
     start = dict(intensities)
@@ -75,13 +76,10 @@ def advance_clock(
         if not updated.expired():
             remaining_events.append(updated)
 
-    variables = {}
-    for name, var in ledger.variables.items():
-        value = intensities[name]
-        if value != start[name]:
-            variables[name] = replace(var, intensity=value, history=var.history + ((tick, value),))
-        else:
-            variables[name] = var
+    variables = {
+        name: var if intensities[name] == start[name] else replace(var, intensity=intensities[name])
+        for name, var in ledger.variables.items()
+    }
 
     return replace(
         ledger,

@@ -114,6 +114,7 @@ class Simulation:
         self.baseline_mode = baseline_mode
         self.rng = random.Random(self.seed)
         self.ledger = initial_ledger(scenario)
+        self._variable_names = sorted(self.ledger.variables)
         self.active_directives: list[Directive] = []
         self.directive_index: dict[str, Directive] = {}  # the live set by id, rebuilt in Score
         self.id_source = DirectiveIdSource()
@@ -128,9 +129,15 @@ class Simulation:
 
     def step(self) -> None:
         # Clock: advance time, drift variables, tick down event effects,
-        # drop directives past their time-to-live.
+        # drop directives past their time-to-live. Each changed variable
+        # is traced, in name order.
+        before = self.ledger.variables
         self.ledger = advance_clock(self.ledger, self.scenario.drifts, self.rng)
         tick = self.ledger.tick
+        for name in self._variable_names:
+            intensity = self.ledger.variables[name].intensity
+            if intensity != before[name].intensity:
+                self._emit(tick, "Clock", "VariableChanged", {"variable": name, "intensity": intensity})
         self.active_directives = expire_directives(self.active_directives, tick)
 
         # MacroEval: collect trigger-satisfying candidates.

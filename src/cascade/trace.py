@@ -27,6 +27,7 @@ PHASES = (
 PHASE_INDEX = {name: i for i, name in enumerate(PHASES)}
 
 KINDS = (
+    "VariableChanged",
     "EventFired",
     "EventRejected",
     "ModuleActivated",

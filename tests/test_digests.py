@@ -6,6 +6,11 @@ sha256 of the JSONL bytes with a committed value. A change that keeps
 these digests keeps every trace line, byte for byte. A change that means
 to alter the trace re-pins the affected digests in the same commit.
 
+Every case pins two digests: one of the full trace (`*_FULL_DIGESTS`) and
+one of the trace without its Clock-phase `VariableChanged` lines
+(`GRID_DIGESTS`, `NOISY_DIGESTS`). The second set predates those lines and
+shows that adding them moved no other line.
+
 The shipped town has no drift noise, so the noisy variant (built here from
 the shipped JSON) is the case that exercises the run's RNG.
 """
@@ -41,15 +46,39 @@ NOISY_DIGESTS = {
     11: "74ae1f3ea918c6fff19457d26a0f8a6228d7639b834f04e3435638ed0740c382",
 }
 
+GRID_FULL_DIGESTS = {
+    (7, 10, "off"): "204b8bdc5944c8e42f2eebefc9591605eec63722e712312ea129b172e0be5fdf",
+    (7, 10, "full-generative"): "ac6955c5c586d8199116d94393bba3e65deea276f0094779c74e9b738b1d3fe3",
+    (7, 1000, "off"): "55e6273b59284dbfa73b9407ba5f4609df2dbc3a9bdb42ea4012133cb6574ae5",
+    (7, 1000, "full-generative"): "23412cef8a0092310000366d8a28bffd3f3ea5c819a62697998b2e128def4926",
+    (11, 10, "off"): "59dcc2bfbf26d54d79f479870b5973134506143d6f103823eef35a4f4226e4a1",
+    (11, 10, "full-generative"): "d9fe4eb7153282419cad5819daafb2411fda38120b3b32c0faab413032f9164c",
+    (11, 1000, "off"): "2c258b85f1b92dc78779ae11db0479d283b6db07f76d184196385bb849abfa31",
+    (11, 1000, "full-generative"): "3cefee7fb2fe71102217d1fa57066bf8e65b370209fc779747d17f3fccf66e7f",
+}
+
+NOISY_FULL_DIGESTS = {
+    7: "789cdf5bd86e16935ffbb285c226246d136076166012b671bdd5538fbbb0547a",
+    11: "fa012aa0016a866879d8d67baebc34ed9db4327b513c40c8a8151c75363227a0",
+}
+
+VARIABLE_LINE = '"kind":"VariableChanged"'
+
 
 class HashingSink:
-    """Text sink that keeps only the running sha256 of the UTF-8 bytes."""
+    """Text sink that keeps only running sha256s of the UTF-8 bytes: one of
+    everything and one without `VariableChanged` lines. A `TraceWriter`
+    writes each line whole, so each write is judged as one line."""
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
+        self._without_variables = hashlib.sha256()
 
     def write(self, text: str) -> None:
-        self._hash.update(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self._hash.update(data)
+        if VARIABLE_LINE not in text:
+            self._without_variables.update(data)
 
     def flush(self) -> None:
         pass
@@ -57,8 +86,13 @@ class HashingSink:
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
 
+    def hexdigest_without_variables(self) -> str:
+        return self._without_variables.hexdigest()
 
-def trace_digest(text: str, seed: int, npc_count: Optional[int] = None, baseline: str = "off") -> str:
+
+def trace_digests(text: str, seed: int, npc_count: Optional[int] = None,
+                  baseline: str = "off") -> tuple[str, str]:
+    """(full trace, trace without VariableChanged lines)."""
     sink = HashingSink()
     sim = Simulation(
         load_scenario(text),
@@ -68,13 +102,14 @@ def trace_digest(text: str, seed: int, npc_count: Optional[int] = None, baseline
         trace_stream=sink,
     )
     sim.run(TICKS)
-    return sink.hexdigest()
+    return sink.hexdigest(), sink.hexdigest_without_variables()
 
 
 @pytest.mark.parametrize("seed,npcs,baseline", sorted(GRID_DIGESTS))
 def test_shipped_town_trace_digest(seed, npcs, baseline):
-    digest = trace_digest(GOLDEN_PATH.read_text(encoding="utf-8"), seed, npcs, baseline)
-    assert digest == GRID_DIGESTS[(seed, npcs, baseline)]
+    key = (seed, npcs, baseline)
+    digests = trace_digests(GOLDEN_PATH.read_text(encoding="utf-8"), seed, npcs, baseline)
+    assert digests == (GRID_FULL_DIGESTS[key], GRID_DIGESTS[key])
 
 
 @pytest.mark.parametrize("seed", sorted(NOISY_DIGESTS))
@@ -82,4 +117,4 @@ def test_noisy_drift_trace_digest(seed):
     doc = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     (drift,) = doc["drift_schedule"]
     drift["noise"] = 0.05
-    assert trace_digest(json.dumps(doc), seed) == NOISY_DIGESTS[seed]
+    assert trace_digests(json.dumps(doc), seed) == (NOISY_FULL_DIGESTS[seed], NOISY_DIGESTS[seed])

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from conftest import load_town, minimal_town
+
 from cascade.core import (
     ActiveEffect,
     ActiveEvent,
@@ -27,6 +29,7 @@ from cascade.director import (
     critic_check,
     evaluate_rules,
 )
+from cascade.engine import Simulation
 
 
 def ledger_with(tick=0, season="Dry", **intensities) -> WorldLedger:
@@ -127,11 +130,29 @@ def test_drifts_before_effects_with_clamp_between():
 
 
 def test_history_records_one_entry_per_changed_variable():
-    drifts = (DriftEntry("x", 0.1, 1, 5), DriftEntry("x", 0.05, 1, 5))
-    ledger = ledger_with(x=0.2, untouched=0.5)
-    after = advance_clock(ledger, drifts)
-    assert after.variables["x"].history == ((1, pytest.approx(0.35)),)
-    assert after.variables["untouched"] is ledger.variables["untouched"]
+    # The trajectory goes to the trace: one Clock line per changed variable,
+    # in name order, while `history` keeps only the load-time entry.
+    doc = minimal_town()
+    doc["ledger_init"]["variables"] = [
+        {"name": "x", "intensity": 0.2},
+        {"name": "untouched", "intensity": 0.5},
+        {"name": "a", "intensity": 0.1},
+    ]
+    doc["drift_schedule"] = [
+        {"variable": "x", "delta_per_tick": 0.1, "start_tick": 1, "end_tick": 5},
+        {"variable": "x", "delta_per_tick": 0.05, "start_tick": 1, "end_tick": 5},
+        {"variable": "a", "delta_per_tick": 0.1, "start_tick": 1, "end_tick": 1},
+    ]
+    sim = Simulation(load_town(doc))
+    before = sim.ledger
+    sim.step()
+    lines = [(e.tick, e.phase, e.payload) for e in sim.trace.events if e.kind == "VariableChanged"]
+    assert lines == [
+        (1, "Clock", {"variable": "a", "intensity": pytest.approx(0.2)}),
+        (1, "Clock", {"variable": "x", "intensity": pytest.approx(0.35)}),
+    ]
+    assert sim.ledger.variables["x"].history == ((0, 0.2),)
+    assert sim.ledger.variables["untouched"] is before.variables["untouched"]
 
 
 # --- evaluate_rules ----------------------------------------------------------

@@ -10,6 +10,7 @@ from conftest import load_town, minimal_town
 
 from cascade.core import NpcProfile
 from cascade.engine import Simulation, replicate_roster, run_meta
+from cascade.scenario import initial_ledger
 from cascade.trace import PHASE_INDEX
 
 # Tick 3 is the crisis tick: pressure walks 0.3 -> 0.5 -> 0.7 -> ~0.9.
@@ -188,6 +189,8 @@ def test_trace_is_totally_ordered(golden):
 
     def subject(event):
         p = event.payload
+        if event.kind == "VariableChanged":
+            return (p["variable"],)
         if event.kind in ("EventFired", "EventRejected"):
             return (p["event"],)
         if event.kind == "ModuleActivated":
@@ -243,14 +246,18 @@ def test_same_seed_same_trace(golden):
     assert first.trace.events == second.trace.events
 
 
-def test_long_run_indexes_only_live_directives(golden_path):
+def test_long_run_keeps_no_state_per_past_tick(golden_path):
     doc = json.loads(golden_path.read_text(encoding="utf-8"))
     (drift,) = doc["drift_schedule"]
     drift["noise"] = 0.05
-    sim = Simulation(load_town(doc), seed=7)
+    scenario = load_town(doc)
+    sim = Simulation(scenario, seed=7)
     sim.run(3000)
     assert sim.summary.directives_issued > 100
     assert sorted(sim.directive_index) == sorted(d.id for d in sim.active_directives)
+    assert events_of(sim, "VariableChanged")
+    for name, var in sim.ledger.variables.items():
+        assert var.history == initial_ledger(scenario).variables[name].history
 
 
 def test_dialogue_leaves_the_simulation_untouched(golden):

@@ -34,7 +34,7 @@ REPLACEMENTS = (None, True, "x", "Critical", -1, 0, 2, 0.5, 1e300, [], {}, ["x"]
 
 DOCUMENTS = 4610
 LOADED = 499
-OUTCOMES_DIGEST = "8bfcebd8f46e0bbfb8811d3e2567c009b59e25e1ddf80aeb2ff1b8b4eb9d49a3"
+OUTCOMES_DIGEST = "6f43e89b17c003f4ba22567934937c5110fb41f18da2f7ea98de658365dbcbc7"
 
 
 def _nodes(node: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:

@@ -31,7 +31,7 @@ def test_phase_enum_is_the_pipeline_order():
     )
     assert PHASE_INDEX["Clock"] == 0
     assert PHASE_INDEX["Dialogue"] == 9
-    assert len(KINDS) == 9
+    assert len(KINDS) == 10
 
 
 def test_writer_puts_meta_on_the_first_line():
