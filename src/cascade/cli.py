@@ -2,7 +2,7 @@
 
   cascade run     simulate a scenario and write a trace
   cascade bench   scaling sweep: directive/evaluation counts vs town size
-  cascade report  cost summary and final-tick action table from a trace
+  cascade report  cost summary, variable moves and final-tick actions from a trace
 
 Exit codes: 0 success, 2 bad input or validation failure, 3 internal
 invariant violation, 4 benchmark assertion failure.
@@ -149,6 +149,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"baseline tokens:    {report.baseline_tokens}")
     print(f"reduction ratio:    {report.reduction_ratio:.4f}")
 
+    # variable -> [first traced intensity, last traced intensity, changes]
+    moves: dict[str, list] = {}
+    for event in events:
+        if event.kind == "VariableChanged":
+            intensity = event.payload["intensity"]
+            move = moves.setdefault(event.payload["variable"], [intensity, intensity, 0])
+            move[1] = intensity
+            move[2] += 1
+    if moves:
+        print()
+        width = max(len(name) for name in [*moves, "variable"])
+        print(f"{'variable':<{width}}   first    last  changes")
+        for name, (first, last, changes) in sorted(moves.items()):
+            print(f"{name:<{width}}  {first:.4f}  {last:.4f}  {changes:>7}")
+
     final_actions: dict[str, tuple[str, list[str]]] = {}
     for event in events:
         if event.kind == "ActionExecuted" and event.tick == ticks:
@@ -192,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scenario", required=True)
     bench.set_defaults(func=cmd_bench)
 
-    report = sub.add_parser("report", help="summarize a trace: cost model plus final actions")
+    report = sub.add_parser("report", help="summarize a trace: cost model, variable moves, final actions")
     report.add_argument("--trace", required=True, help="path to a trace written by `cascade run`")
     report.add_argument("--tokens-per-call", type=int, default=DEFAULT_TOKENS_PER_CALL,
                         help="token estimate per model call")

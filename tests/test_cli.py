@@ -140,6 +140,22 @@ def test_report_summarizes_a_run(golden_file, tmp_path, capsys):
     assert rows["guard_2"].endswith("idle")
 
 
+def test_report_shows_how_each_variable_moved(golden_file, tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    run_cli("run", "--scenario", golden_file, "--ticks", "6", "--seed", "7", "--trace", str(trace))
+    capsys.readouterr()
+    assert run_cli("report", "--trace", str(trace)) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("variable         first    last  changes")
+    # Water drifts up from 0.45 and clamps at 1 on tick 6; the drought of
+    # tick 4 raises food from tick 5; morale never moves, so has no row.
+    assert lines[start + 1:start + 4] == [
+        "food_scarcity   0.2200  0.2400        2",
+        "water_scarcity  0.5500  1.0000        6",
+        "",
+    ]
+
+
 def test_report_baseline_ratio_is_zero(golden_file, tmp_path, capsys):
     trace = tmp_path / "base.jsonl"
     run_cli(
