@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from cascade.core import (
     CausalVariable,
+    CriticVerdict,
     Directive,
+    Effect,
     Level,
     LevelThresholds,
     MacroEvent,
@@ -21,7 +23,7 @@ from cascade.core import (
     WorldLedger,
     level_for,
 )
-from cascade.director import evaluate_rules
+from cascade.director import DriftEntry, advance_clock, apply_event, evaluate_rules
 from cascade.hub import broadcast, expire_directives
 from cascade.npc import (
     ActionBinding,
@@ -217,6 +219,80 @@ def test_rule_evaluation_agrees_with_exhaustive_scan(data):
         for c in evaluate_rules(ledger, rules)
     ]
     assert actual == expected
+
+
+# --- narrative clock ---------------------------------------------------------
+
+
+delta = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False)
+
+
+@st.composite
+def clock_cases(draw):
+    start = {"a": draw(unit), "b": draw(unit)}
+    drifts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lo = draw(st.integers(min_value=0, max_value=15))
+        hi = draw(st.integers(min_value=lo, max_value=15))
+        drifts.append(DriftEntry(draw(st.sampled_from(("a", "b"))), draw(delta), lo, hi))
+    firings = sorted(
+        draw(st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10),
+                st.lists(
+                    st.tuples(st.sampled_from(("a", "b")), delta, st.integers(min_value=1, max_value=6)),
+                    max_size=3,
+                ),
+            ),
+            max_size=4,
+        )),
+        key=lambda f: f[0],
+    )
+    return start, tuple(drifts), firings
+
+
+@given(case=clock_cases())
+def test_clock_agrees_with_window_replay(case):
+    start, drifts, firings = case
+    ledger = WorldLedger(
+        tick=0,
+        variables={name: CausalVariable(name, value) for name, value in start.items()},
+        season="Dry",
+    )
+    expected = dict(start)
+    registered: list[tuple[str, int, list]] = []  # (instance id, fired tick, effects)
+
+    def bounded(value: float) -> float:
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+
+    for tick in range(16):
+        if tick:
+            ledger = advance_clock(ledger, drifts)
+            for d in drifts:
+                if d.start_tick <= tick <= d.end_tick:
+                    expected[d.variable] = bounded(expected[d.variable] + d.delta_per_tick)
+            for _, fired, effects in registered:
+                for variable, step, duration in effects:
+                    if 1 <= tick - fired <= duration:
+                        expected[variable] = bounded(expected[variable] + step)
+        for i, (fired, effects) in enumerate(firings):
+            if fired != tick:
+                continue
+            rule = MacroEventRule(
+                id=f"r{i}",
+                name=f"r{i}",
+                trigger=(),
+                effects=tuple(Effect(v, s, d) for v, s, d in effects),
+            )
+            event = MacroEvent(f"r{i}", f"r{i}@{tick}", tick, critic_verdict=CriticVerdict.accept())
+            ledger = apply_event(ledger, event, rule)
+            registered.append((f"r{i}@{tick}", tick, effects))
+
+        assert ledger.tick == tick
+        assert {name: v.intensity for name, v in ledger.variables.items()} == expected
+        live = [iid for iid, fired, effects in registered
+                if tick - fired < max((d for _, _, d in effects), default=1)]
+        assert [ae.instance_id for ae in ledger.active_events] == live
 
 
 # --- utility scoring ---------------------------------------------------------
