@@ -146,30 +146,21 @@ class CriticVerdict:
 
 @dataclass(frozen=True, slots=True)
 class MacroEvent:
-    """One firing (or attempted firing) of a macro rule."""
+    """One firing (or attempted firing) of a macro rule. An accepted one
+    carries its rule's effects, each landing on the `duration_ticks` ticks
+    after `fired_tick`."""
 
     rule_id: str
     instance_id: str
     fired_tick: int
     trigger_snapshot: dict[str, float] = field(default_factory=dict)
     critic_verdict: Optional[CriticVerdict] = None
+    effects: tuple[Effect, ...] = ()
 
-
-@dataclass(frozen=True, slots=True)
-class ActiveEffect:
-    variable: str
-    delta_per_tick: float
-    remaining_ticks: int
-
-
-@dataclass(frozen=True, slots=True)
-class ActiveEvent:
-    instance_id: str
-    rule_id: str
-    effects: tuple[ActiveEffect, ...]
-
-    def expired(self) -> bool:
-        return all(e.remaining_ticks <= 0 for e in self.effects)
+    def active_at(self, tick: int) -> bool:
+        """True until the tick on which its longest effect lands; an event
+        without effects is active on its firing tick only."""
+        return tick - self.fired_tick < max((e.duration_ticks for e in self.effects), default=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +171,7 @@ class WorldLedger:
     tick: int
     variables: dict[str, CausalVariable]
     season: str
-    active_events: tuple[ActiveEvent, ...] = ()
+    active_events: tuple[MacroEvent, ...] = ()
     fired_log: tuple[MacroEvent, ...] = ()
     # Carried here so ledger-in/ledger-out operations can derive levels
     # without extra plumbing.

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
-    ActiveEffect,
-    ActiveEvent,
     CriticVerdict,
     InvariantViolation,
     LEVEL_BY_LABEL,
@@ -41,10 +39,10 @@ def advance_clock(
     drifts: tuple[DriftEntry, ...],
     rng: Optional[random.Random] = None,
 ) -> WorldLedger:
-    """Advance one tick: apply in-window drifts, then active-event effects,
-    clamping intensity to [0, 1]. A variable whose intensity is unchanged
-    keeps its record. Active events whose effect counters are exhausted
-    drop out."""
+    """Advance one tick: apply in-window drifts, then the effects of active
+    events whose window covers the new tick, clamping intensity to [0, 1].
+    A variable whose intensity is unchanged keeps its record. Events whose
+    last effect has landed drop out."""
     tick = ledger.tick + 1
     intensities = {name: v.intensity for name, v in ledger.variables.items()}
     start = dict(intensities)
@@ -59,22 +57,14 @@ def advance_clock(
                 raise KeyError(f"drift references unknown variable {entry.variable!r}")
             intensities[entry.variable] = clamp(intensities[entry.variable] + delta, 0.0, 1.0)
 
-    remaining_events: list[ActiveEvent] = []
-    for active in ledger.active_events:
-        new_effects: list[ActiveEffect] = []
-        for eff in active.effects:
-            if eff.remaining_ticks > 0:
+    for event in ledger.active_events:
+        for eff in event.effects:
+            if tick - event.fired_tick <= eff.duration_ticks:
                 if eff.variable not in intensities:
                     raise KeyError(f"effect references unknown variable {eff.variable!r}")
                 intensities[eff.variable] = clamp(
                     intensities[eff.variable] + eff.delta_per_tick, 0.0, 1.0
                 )
-                new_effects.append(replace(eff, remaining_ticks=eff.remaining_ticks - 1))
-            else:
-                new_effects.append(eff)
-        updated = ActiveEvent(active.instance_id, active.rule_id, tuple(new_effects))
-        if not updated.expired():
-            remaining_events.append(updated)
 
     variables = {
         name: var if intensities[name] == start[name] else replace(var, intensity=intensities[name])
@@ -85,7 +75,7 @@ def advance_clock(
         ledger,
         tick=tick,
         variables=variables,
-        active_events=tuple(remaining_events),
+        active_events=tuple(e for e in ledger.active_events if e.active_at(tick)),
     )
 
 
@@ -121,6 +111,7 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
                     instance_id=f"{rule.id}@{ledger.tick}",
                     fired_tick=ledger.tick,
                     trigger_snapshot=snapshot,
+                    effects=rule.effects,
                 )
             )
     return candidates
@@ -151,7 +142,7 @@ def _requirement_holds(req, ledger: WorldLedger) -> tuple[bool, str]:
     return _REQ_OPS[req.op](actual, value), display
 
 
-def critic_check(candidate: MacroEvent, rule: MacroEventRule, ledger: WorldLedger) -> CriticVerdict:
+def critic_check(rule: MacroEventRule, ledger: WorldLedger) -> CriticVerdict:
     """Gate a candidate against the rule's consistency requirements. The first
     violated requirement (declaration order) becomes the rejection reason."""
     for req in rule.consistency_requirements:
@@ -164,22 +155,16 @@ def critic_check(candidate: MacroEvent, rule: MacroEventRule, ledger: WorldLedge
     return CriticVerdict.accept()
 
 
-def apply_event(ledger: WorldLedger, event: MacroEvent, rule: MacroEventRule) -> WorldLedger:
-    """Commit an accepted event: append to the fired log and register its
-    effects for their durations. Applying a rejected event is a fault."""
+def apply_event(ledger: WorldLedger, event: MacroEvent) -> WorldLedger:
+    """Commit an accepted event: append it to the fired log and to the
+    active events, where its effects land over their durations. Applying a
+    rejected event is a fault."""
     if event.critic_verdict is None or not event.critic_verdict.accepted:
         raise InvariantViolation(
             f"apply_event: event {event.instance_id!r} was not accepted by the critic"
         )
-    active = ActiveEvent(
-        instance_id=event.instance_id,
-        rule_id=event.rule_id,
-        effects=tuple(
-            ActiveEffect(e.variable, e.delta_per_tick, e.duration_ticks) for e in rule.effects
-        ),
-    )
     return replace(
         ledger,
-        active_events=ledger.active_events + (active,),
+        active_events=ledger.active_events + (event,),
         fired_log=ledger.fired_log + (event,),
     )

@@ -128,7 +128,7 @@ class Simulation:
     # -- pipeline ------------------------------------------------------------
 
     def step(self) -> None:
-        # Clock: advance time, drift variables, tick down event effects,
+        # Clock: advance time, drift variables, land active event effects,
         # drop directives past their time-to-live. Each changed variable
         # is traced, in name order.
         before = self.ledger.variables
@@ -147,10 +147,10 @@ class Simulation:
         accepted_events: list[MacroEvent] = []
         for candidate in candidates:
             rule = self.rules_by_id[candidate.rule_id]
-            verdict = critic_check(candidate, rule, self.ledger)
+            verdict = critic_check(rule, self.ledger)
             if verdict.accepted:
                 event = replace(candidate, critic_verdict=verdict)
-                self.ledger = apply_event(self.ledger, event, rule)
+                self.ledger = apply_event(self.ledger, event)
                 accepted_events.append(event)
                 self.summary.events_fired += 1
                 self._emit(tick, "Critic", "EventFired", {

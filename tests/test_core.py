@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascade.core import (
-    ActiveEffect,
-    ActiveEvent,
     CausalVariable,
     CriticVerdict,
     Directive,
+    Effect,
     LedgerRequirement,
     Level,
     LevelThresholds,
+    MacroEvent,
     NpcProfile,
     TagSelector,
     VariablePredicate,
@@ -157,11 +157,12 @@ def test_predicate_describe():
     assert by_intensity.describe() == "morale <= 0.3"
 
 
-def test_active_event_expired_only_when_all_counters_done():
-    live = ActiveEvent("e@1", "e", (ActiveEffect("x", 0.1, 2), ActiveEffect("y", 0.1, 0)))
-    assert not live.expired()
-    done = ActiveEvent("e@1", "e", (ActiveEffect("x", 0.1, 0),))
-    assert done.expired()
+def test_event_is_active_until_its_longest_effect_lands():
+    bare = MacroEvent("e", "e@3", 3)
+    assert bare.active_at(3)
+    assert not bare.active_at(4)
+    mixed = MacroEvent("e", "e@3", 3, effects=(Effect("x", 0.1, 2), Effect("y", 0.1, 5), Effect("x", 0.1, 1)))
+    assert [t for t in range(3, 12) if mixed.active_at(t)] == [3, 4, 5, 6, 7]
 
 
 def _profile(**overrides) -> NpcProfile:

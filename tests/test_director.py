@@ -9,8 +9,6 @@ import pytest
 from conftest import load_town, minimal_town
 
 from cascade.core import (
-    ActiveEffect,
-    ActiveEvent,
     CausalVariable,
     CriticVerdict,
     Effect,
@@ -100,14 +98,14 @@ def test_drift_noise_is_reproducible_and_optional():
 
 
 def test_active_effects_apply_then_expire():
-    active = ActiveEvent("e@0", "e", (ActiveEffect("food_scarcity", 0.02, 2),))
+    active = MacroEvent("e", "e@0", 0, effects=(Effect("food_scarcity", 0.02, 2),))
     ledger = ledger_with(food_scarcity=0.2)
     ledger = WorldLedger(
         tick=ledger.tick, variables=ledger.variables, season=ledger.season, active_events=(active,)
     )
     ledger = advance_clock(ledger, ())
     assert ledger.intensity("food_scarcity") == pytest.approx(0.22)
-    assert ledger.active_events[0].effects[0].remaining_ticks == 1
+    assert ledger.active_events == (active,)
     ledger = advance_clock(ledger, ())
     assert ledger.intensity("food_scarcity") == pytest.approx(0.24)
     assert ledger.active_events == ()  # exhausted events drop out
@@ -118,7 +116,7 @@ def test_active_effects_apply_then_expire():
 def test_drifts_before_effects_with_clamp_between():
     # 0.95 + 0.1 clamps to 1.0 before the -0.3 effect lands; applying both
     # deltas first would give 0.75 instead.
-    active = ActiveEvent("e@0", "e", (ActiveEffect("x", -0.3, 1),))
+    active = MacroEvent("e", "e@0", 0, effects=(Effect("x", -0.3, 1),))
     ledger = WorldLedger(
         tick=0,
         variables={"x": CausalVariable("x", 0.95)},
@@ -201,7 +199,7 @@ def test_active_rule_does_not_refire():
         tick=ledger.tick,
         variables=ledger.variables,
         season=ledger.season,
-        active_events=(ActiveEvent("severe_drought@4", "severe_drought", (ActiveEffect("water_scarcity", 0.0, 3),)),),
+        active_events=(MacroEvent("severe_drought", "severe_drought@4", 4, effects=(Effect("water_scarcity", 0.0, 3),)),),
     )
     assert evaluate_rules(ledger, (drought_rule(),)) == []
 
@@ -265,14 +263,14 @@ def test_candidates_come_back_sorted_by_rule_id():
 def test_critic_accepts_when_requirements_hold():
     ledger = ledger_with(tick=4, season="Dry", water_scarcity=0.85)
     candidate = evaluate_rules(ledger, (drought_rule(),))[0]
-    verdict = critic_check(candidate, drought_rule(), ledger)
+    verdict = critic_check(drought_rule(), ledger)
     assert verdict == CriticVerdict.accept()
 
 
 def test_critic_rejects_drought_in_rainy_season():
     ledger = ledger_with(tick=4, season="Rainy", water_scarcity=0.85)
     candidate = evaluate_rules(ledger, (drought_rule(),))[0]
-    verdict = critic_check(candidate, drought_rule(), ledger)
+    verdict = critic_check(drought_rule(), ledger)
     assert not verdict.accepted
     assert verdict.reason == "season is Rainy"
     assert verdict.violated_requirement == "season != Rainy"
@@ -287,7 +285,7 @@ def test_critic_names_the_first_violated_requirement():
     )
     ledger = ledger_with(tick=4, season="Rainy", water_scarcity=0.85)
     candidate = evaluate_rules(ledger, (rule,))[0]
-    verdict = critic_check(candidate, rule, ledger)
+    verdict = critic_check(rule, ledger)
     assert verdict.violated_requirement == "tick >= 10"
     assert verdict.reason == "tick is 4"
 
@@ -297,7 +295,7 @@ def test_critic_checks_variables_at_level_granularity():
     rule = drought_rule(consistency_requirements=(LedgerRequirement("morale", "ge", "Elevated"),))
     ledger = ledger_with(tick=4, water_scarcity=0.85, morale=0.1)
     candidate = evaluate_rules(ledger, (rule,))[0]
-    verdict = critic_check(candidate, rule, ledger)
+    verdict = critic_check(rule, ledger)
     assert not verdict.accepted
     assert verdict.reason == "morale is Normal"
     assert verdict.violated_requirement == "morale >= Elevated"
@@ -307,7 +305,7 @@ def test_critic_checks_variables_at_intensity_granularity():
     rule = drought_rule(consistency_requirements=(LedgerRequirement("morale", "le", 0.5),))
     ledger = ledger_with(tick=4, water_scarcity=0.85, morale=0.7)
     candidate = evaluate_rules(ledger, (rule,))[0]
-    verdict = critic_check(candidate, rule, ledger)
+    verdict = critic_check(rule, ledger)
     assert not verdict.accepted
     assert verdict.reason == "morale is 0.7"
 
@@ -316,7 +314,7 @@ def test_critic_passes_rules_without_requirements():
     rule = drought_rule(consistency_requirements=())
     ledger = ledger_with(tick=4, season="Rainy", water_scarcity=0.85)
     candidate = evaluate_rules(ledger, (rule,))[0]
-    assert critic_check(candidate, rule, ledger).accepted
+    assert critic_check(rule, ledger).accepted
 
 
 # --- apply_event -------------------------------------------------------------
@@ -332,13 +330,14 @@ def test_apply_event_commits_effects_and_log():
         fired_tick=candidate.fired_tick,
         trigger_snapshot=candidate.trigger_snapshot,
         critic_verdict=CriticVerdict.accept(),
+        effects=candidate.effects,
     )
-    after = apply_event(ledger, event, rule)
+    after = apply_event(ledger, event)
     assert after.fired_log == (event,)
     assert len(after.active_events) == 1
     active = after.active_events[0]
     assert active.instance_id == "severe_drought@4"
-    assert active.effects == (ActiveEffect("food_scarcity", 0.02, 10),)
+    assert active.effects == (Effect("food_scarcity", 0.02, 10),)
     # The ledger itself only gains the registration; intensities move on the
     # next clock advance.
     assert after.intensity("food_scarcity") == 0.2
@@ -349,7 +348,7 @@ def test_apply_event_requires_an_accepting_verdict(verdict):
     ledger = ledger_with(tick=4, water_scarcity=0.85, food_scarcity=0.2)
     event = MacroEvent("severe_drought", "severe_drought@4", 4, critic_verdict=verdict)
     with pytest.raises(InvariantViolation):
-        apply_event(ledger, event, drought_rule())
+        apply_event(ledger, event)
 
 
 def test_rule_refires_after_effects_expire():
@@ -374,7 +373,8 @@ def test_rule_refires_after_effects_expire():
                 candidate.fired_tick,
                 candidate.trigger_snapshot,
                 CriticVerdict.accept(),
+                candidate.effects,
             )
-            ledger = apply_event(ledger, event, rule)
+            ledger = apply_event(ledger, event)
             fired_ticks.append(ledger.tick)
     assert fired_ticks == [1, 3, 5]

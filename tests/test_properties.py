@@ -167,15 +167,13 @@ def ledgers_and_rules(draw):
 def test_rule_evaluation_agrees_with_exhaustive_scan(data):
     ledger, rules, active_ids = data
     # Stand in minimal active events for the drawn rule ids.
-    from cascade.core import ActiveEffect, ActiveEvent
-
     ledger = WorldLedger(
         tick=ledger.tick,
         variables=ledger.variables,
         season=ledger.season,
         fired_log=ledger.fired_log,
         active_events=tuple(
-            ActiveEvent(f"{rid}@0", rid, (ActiveEffect("x", 0.0, 1),)) for rid in sorted(active_ids)
+            MacroEvent(rid, f"{rid}@0", 0, effects=(Effect("x", 0.0, 1),)) for rid in sorted(active_ids)
         ),
         thresholds=ledger.thresholds,
     )
@@ -284,8 +282,9 @@ def test_clock_agrees_with_window_replay(case):
                 trigger=(),
                 effects=tuple(Effect(v, s, d) for v, s, d in effects),
             )
-            event = MacroEvent(f"r{i}", f"r{i}@{tick}", tick, critic_verdict=CriticVerdict.accept())
-            ledger = apply_event(ledger, event, rule)
+            event = MacroEvent(f"r{i}", f"r{i}@{tick}", tick, critic_verdict=CriticVerdict.accept(),
+                               effects=rule.effects)
+            ledger = apply_event(ledger, event)
             registered.append((f"r{i}@{tick}", tick, effects))
 
         assert ledger.tick == tick
