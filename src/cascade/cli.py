@@ -18,7 +18,7 @@ from typing import Optional
 from .core import InvariantViolation
 from .engine import Simulation
 from .scenario import MAX_SEED, Scenario, ScenarioError, load_scenario_file
-from .trace import DEFAULT_TOKENS_PER_CALL, TraceError, build_cost_report, read_trace_file
+from .trace import DEFAULT_TOKENS_PER_CALL, TraceError, TraceEvent, build_cost_report, read_trace_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -127,6 +127,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Payload fields `report` reads, with the JSON types it needs.
+_REPORT_FIELDS = {"variable": str, "intensity": (int, float), "npc": str, "action": str, "tags": list}
+
+
+def _payload(event: TraceEvent, *names: str) -> list:
+    """The named payload fields of `event`; a missing or mistyped one is a ValueError."""
+    values = [event.payload.get(name) for name in names]
+    for name, value in zip(names, values):
+        if isinstance(value, bool) or not isinstance(value, _REPORT_FIELDS[name]):
+            raise ValueError(f"trace tick {event.tick} {event.kind}: {name!r} missing or of the wrong type, got {value!r}")
+    return values
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         meta, events = read_trace_file(args.trace)
@@ -136,7 +149,25 @@ def cmd_report(args: argparse.Namespace) -> int:
         return _fail(f"cannot read trace: {exc}", EXIT_INPUT)
 
     npc_count = meta.get("npc_count", 0)
+    if type(npc_count) is not int or npc_count < 0:
+        return _fail(f"trace metadata: npc_count must be a non-negative integer, got {npc_count!r}", EXIT_INPUT)
     ticks = max((e.tick for e in events), default=0)
+
+    # variable -> [first traced intensity, last traced intensity, changes]
+    moves: dict[str, list] = {}
+    final_actions: dict[str, tuple[str, list[str]]] = {}
+    try:
+        for event in events:
+            if event.kind == "VariableChanged":
+                name, intensity = _payload(event, "variable", "intensity")
+                move = moves.setdefault(name, [intensity, intensity, 0])
+                move[1] = intensity
+                move[2] += 1
+            elif event.kind == "ActionExecuted" and event.tick == ticks:
+                npc, action, tags = _payload(event, "npc", "action", "tags")
+                final_actions[npc] = (action, tags)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     report = build_cost_report(events, npc_count, ticks, args.tokens_per_call)
 
     print(f"scenario:           {meta.get('scenario', '?')}")
@@ -149,14 +180,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"baseline tokens:    {report.baseline_tokens}")
     print(f"reduction ratio:    {report.reduction_ratio:.4f}")
 
-    # variable -> [first traced intensity, last traced intensity, changes]
-    moves: dict[str, list] = {}
-    for event in events:
-        if event.kind == "VariableChanged":
-            intensity = event.payload["intensity"]
-            move = moves.setdefault(event.payload["variable"], [intensity, intensity, 0])
-            move[1] = intensity
-            move[2] += 1
     if moves:
         print()
         width = max(len(name) for name in [*moves, "variable"])
@@ -164,13 +187,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         for name, (first, last, changes) in sorted(moves.items()):
             print(f"{name:<{width}}  {first:.4f}  {last:.4f}  {changes:>7}")
 
-    final_actions: dict[str, tuple[str, list[str]]] = {}
-    for event in events:
-        if event.kind == "ActionExecuted" and event.tick == ticks:
-            final_actions[event.payload["npc"]] = (
-                event.payload["action"],
-                list(event.payload.get("tags", [])),
-            )
     if final_actions:
         print()
         rows = [

@@ -121,6 +121,8 @@ def read_trace(lines: Iterable[str]) -> tuple[dict[str, Any], list[TraceEvent]]:
             tick, phase, kind = obj["tick"], obj["phase"], obj["kind"]
         except KeyError as exc:
             raise TraceError(line_no, f"missing field {exc.args[0]!r}") from exc
+        if type(tick) is not int or tick < 0:
+            raise TraceError(line_no, f"tick must be a non-negative integer, got {tick!r}")
         if phase not in PHASE_INDEX:
             raise TraceError(line_no, f"unknown phase {phase!r}")
         if kind not in KINDS:

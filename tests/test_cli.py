@@ -185,6 +185,29 @@ def test_report_names_the_corrupt_line(tmp_path, capsys):
     assert "trace line 2" in capsys.readouterr().err
 
 
+VARIABLE_LINE = {"tick": 1, "phase": "Clock", "kind": "VariableChanged", "variable": "x", "intensity": 0.5}
+ACTION_LINE = {"tick": 1, "phase": "Act", "kind": "ActionExecuted", "npc": "solo", "action": "idle", "tags": ["A"]}
+
+
+@pytest.mark.parametrize("meta, line, message", [
+    ({"npc_count": 1}, {**VARIABLE_LINE, "intensity": None}, "tick 1 VariableChanged: 'intensity'"),
+    ({"npc_count": 1}, {**VARIABLE_LINE, "intensity": "hi"}, "tick 1 VariableChanged: 'intensity'"),
+    ({"npc_count": 1}, {**VARIABLE_LINE, "variable": 3}, "tick 1 VariableChanged: 'variable'"),
+    ({"npc_count": 1}, {**VARIABLE_LINE, "tick": "1"}, "trace line 3: tick must be a non-negative integer"),
+    ({"npc_count": 1}, {**ACTION_LINE, "action": None}, "tick 1 ActionExecuted: 'action'"),
+    ({"npc_count": 1}, {**ACTION_LINE, "tags": "A"}, "tick 1 ActionExecuted: 'tags'"),
+    ({"npc_count": "3"}, ACTION_LINE, "npc_count must be a non-negative integer, got '3'"),
+], ids=["no-intensity", "text-intensity", "number-variable", "text-tick", "no-action", "text-tags", "text-npc-count"])
+def test_report_rejects_malformed_lines(tmp_path, capsys, meta, line, message):
+    line = {k: v for k, v in line.items() if v is not None}  # None drops the field
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("\n".join(json.dumps(obj) for obj in (meta, ACTION_LINE, line)) + "\n", encoding="utf-8")
+    assert run_cli("report", "--trace", str(trace)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_report_missing_trace(tmp_path, capsys):
     assert run_cli("report", "--trace", str(tmp_path / "nope.jsonl")) == EXIT_INPUT
     assert "cannot read trace" in capsys.readouterr().err

@@ -118,6 +118,13 @@ def test_reader_requires_envelope_fields():
     assert "trace line 2: missing field 'tick'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("tick", ['"1"', "-1", "1.0", "true", "null"])
+def test_reader_requires_a_non_negative_integer_tick(tick):
+    with pytest.raises(TraceError) as excinfo:
+        read_trace(io.StringIO(json.dumps(META) + "\n" + f'{{"tick":{tick},"phase":"Act","kind":"ActionExecuted"}}\n'))
+    assert "trace line 2: tick must be a non-negative integer" in str(excinfo.value)
+
+
 def test_reader_validates_phase_and_kind():
     with pytest.raises(TraceError) as excinfo:
         read_trace(io.StringIO(json.dumps(META) + "\n" + '{"tick":1,"phase":"Party","kind":"ActionExecuted"}\n'))
