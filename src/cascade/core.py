@@ -22,6 +22,14 @@ SEASONS = ("Dry", "Temperate", "Rainy")
 
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+# Consistency-requirement operators: name -> (comparison, symbol shown).
+REQUIREMENT_OPS = {
+    "eq": (operator.eq, "=="),
+    "ne": (operator.ne, "!="),
+    "ge": (operator.ge, ">="),
+    "le": (operator.le, "<="),
+}
+
 
 class InvariantViolation(RuntimeError):
     """An internal contract was broken; the run must abort."""
@@ -104,12 +112,11 @@ class LedgerRequirement:
     """Consistency condition the critic checks before an event may fire."""
 
     field: str  # "season", "tick", or a variable name
-    op: str  # "eq", "ne", "ge", "le"
+    op: str  # a key of REQUIREMENT_OPS
     value: Scalar
 
     def describe(self) -> str:
-        sym = {"eq": "==", "ne": "!=", "ge": ">=", "le": "<="}[self.op]
-        return f"{self.field} {sym} {self.value}"
+        return f"{self.field} {REQUIREMENT_OPS[self.op][1]} {self.value}"
 
 
 @dataclass(frozen=True, slots=True)

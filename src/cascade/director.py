@@ -8,7 +8,6 @@ the run's single generator.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -20,6 +19,7 @@ from .core import (
     Level,
     MacroEvent,
     MacroEventRule,
+    REQUIREMENT_OPS,
     WorldLedger,
     clamp,
 )
@@ -117,9 +117,6 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
     return candidates
 
 
-_REQ_OPS = {"eq": operator.eq, "ne": operator.ne, "ge": operator.ge, "le": operator.le}
-
-
 def _requirement_holds(req, ledger: WorldLedger) -> tuple[bool, str]:
     """Evaluate one consistency requirement; returns (holds, actual shown)."""
     if req.field == "season":
@@ -139,7 +136,7 @@ def _requirement_holds(req, ledger: WorldLedger) -> tuple[bool, str]:
         # Unknown fields never hold; the scenario validator rejects them first.
         return False, f"<unknown field {req.field!r}>"
     value = LEVEL_BY_LABEL[req.value] if isinstance(actual, Level) else req.value
-    return _REQ_OPS[req.op](actual, value), display
+    return REQUIREMENT_OPS[req.op][0](actual, value), display
 
 
 def critic_check(rule: MacroEventRule, ledger: WorldLedger) -> CriticVerdict:

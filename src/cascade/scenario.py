@@ -23,6 +23,7 @@ from .core import (
     LevelThresholds,
     MacroEventRule,
     NpcProfile,
+    REQUIREMENT_OPS,
     Scalar,
     SEASONS,
     TagSelector,
@@ -358,8 +359,8 @@ def _parse_rules(raw: Any, variables: set[str], errors: _Errors) -> list[MacroEv
             fld = _str_field(req, "field", rpath, errors)
             op = _str_field(req, "op", rpath, errors)
             value = req.get("value")
-            if op is not None and op not in ("eq", "ne", "ge", "le"):
-                errors.add(f"{rpath}.op", f"op must be one of eq ne ge le, got {op!r}")
+            if op is not None and op not in REQUIREMENT_OPS:
+                errors.add(f"{rpath}.op", f"op must be one of {' '.join(REQUIREMENT_OPS)}, got {op!r}")
                 continue
             if fld is None or op is None:
                 continue
