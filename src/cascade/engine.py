@@ -119,7 +119,6 @@ class Simulation:
         self.directive_index: dict[str, Directive] = {}  # the live set by id, rebuilt in Score
         self.id_source = DirectiveIdSource()
         self.rules_by_id = {r.id: r for r in scenario.rules}
-        self.modules_by_id = {m.id: m for m in scenario.modules}
         self.provider = TemplateDialogueProvider()
         self.counter = LlmCallCounter()
         self.last_action: dict[str, Optional[str]] = {nid: None for nid in self._order}
@@ -169,21 +168,21 @@ class Simulation:
                 })
 
         # Activation: wake only the modules that recognise each event.
-        activated: list[tuple[str, MacroEvent]] = []
-        for event in accepted_events:
-            for module_id in route_activation(event, self.ledger, self.scenario.modules):
-                activated.append((module_id, event))
-        for module_id, event in sorted(activated, key=lambda p: (p[0], p[1].instance_id)):
+        activated = [
+            (module, event)
+            for event in accepted_events
+            for module in route_activation(event, self.ledger, self.scenario.modules)
+        ]
+        for module, event in sorted(activated, key=lambda p: (p[0].id, p[1].instance_id)):
             self._emit(tick, "Activation", "ModuleActivated", {
-                "module": module_id,
+                "module": module.id,
                 "event": event.instance_id,
             })
 
         # Compile: activated modules turn templates into directives, in
         # event order and then module declaration order.
         fresh: list[Directive] = []
-        for module_id, event in activated:
-            module = self.modules_by_id[module_id]
+        for module, event in activated:
             for directive in compile_directives(module, event, self.ledger, self.id_source):
                 fresh.append(directive)
                 self.summary.directives_issued += 1

@@ -89,9 +89,9 @@ class DirectiveIdSource:
 
 def route_activation(
     event: MacroEvent, ledger: WorldLedger, modules: tuple[DomainModuleSpec, ...]
-) -> list[str]:
-    """Ids of modules woken by this event, in module declaration order."""
-    return [module.id for module in modules if any(m.matches(event, ledger) for m in module.activation)]
+) -> list[DomainModuleSpec]:
+    """Modules woken by this event, in module declaration order."""
+    return [module for module in modules if any(m.matches(event, ledger) for m in module.activation)]
 
 
 def compile_directives(

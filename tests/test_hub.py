@@ -72,7 +72,7 @@ def test_route_activation_keeps_declaration_order():
         module("economy", ActivationMatcher(rule_id="severe_drought")),
     )
     awake = route_activation(DROUGHT, ledger_with(morale=0.1), modules)
-    assert awake == ["security", "economy"]  # entertainment stays asleep
+    assert [m.id for m in awake] == ["security", "economy"]  # entertainment stays asleep
 
 
 def test_route_activation_any_of_matchers():
@@ -81,7 +81,7 @@ def test_route_activation_any_of_matchers():
         ActivationMatcher(rule_id="flood"),
         ActivationMatcher(rule_id="severe_drought"),
     )
-    assert route_activation(DROUGHT, ledger_with(), (spec,)) == ["resource_allocation"]
+    assert [m.id for m in route_activation(DROUGHT, ledger_with(), (spec,))] == ["resource_allocation"]
 
 
 def test_parameter_expr_affine():
