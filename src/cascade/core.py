@@ -153,8 +153,8 @@ class CriticVerdict:
 
 @dataclass(frozen=True, slots=True)
 class MacroEvent:
-    """One firing (or attempted firing) of a macro rule. An accepted one
-    carries its rule's effects, each landing on the `duration_ticks` ticks
+    """One firing (or attempted firing) of a macro rule, carrying the rule's
+    effects. Once applied, each effect lands on the `duration_ticks` ticks
     after `fired_tick`."""
 
     rule_id: str

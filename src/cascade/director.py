@@ -140,7 +140,7 @@ def _requirement_holds(req, ledger: WorldLedger) -> tuple[bool, str]:
 
 
 def critic_check(rule: MacroEventRule, ledger: WorldLedger) -> CriticVerdict:
-    """Gate a candidate against the rule's consistency requirements. The first
+    """Gate a firing of `rule` against its consistency requirements. The first
     violated requirement (declaration order) becomes the rejection reason."""
     for req in rule.consistency_requirements:
         holds, actual = _requirement_holds(req, ledger)
