@@ -1,4 +1,4 @@
-"""Shared fixtures: the shipped golden scenario plus a tiny synthetic town."""
+"""Shared fixtures: the shipped scenarios plus a tiny synthetic town."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ settings.load_profile("suite")
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "scenarios" / "drought_town.json"
+MARKET_PATH = ROOT / "scenarios" / "market_cycle.json"
 
 
 def minimal_town() -> dict:

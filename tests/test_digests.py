@@ -13,20 +13,28 @@ shows that adding them moved no other line.
 
 The shipped town has no drift noise, so the noisy variant (built here from
 the shipped JSON) is the case that exercises the run's RNG.
+
+The drought town's 30 ticks leave most of the macro and NPC layers dark,
+so `scenarios/market_cycle.json` is pinned too, over 120 ticks: critic
+rejections, cooldown refires, overlapping events, an `all` selector, a
+`var.*` tree condition and Merchant/Beggar migrations both ways. One of
+its cases interleaves player dialogue at fixed ticks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-from typing import Optional
+from typing import Optional, TextIO
 
 import pytest
 
-from conftest import GOLDEN_PATH
+from conftest import GOLDEN_PATH, MARKET_PATH
 
 from cascade.engine import Simulation
 from cascade.scenario import load_scenario
+from cascade.trace import KINDS
 
 TICKS = 30
 
@@ -60,6 +68,28 @@ GRID_FULL_DIGESTS = {
 NOISY_FULL_DIGESTS = {
     7: "789cdf5bd86e16935ffbb285c226246d136076166012b671bdd5538fbbb0547a",
     11: "fa012aa0016a866879d8d67baebc34ed9db4327b513c40c8a8151c75363227a0",
+}
+
+MARKET_TICKS = 120
+
+MARKET_DIGESTS = {
+    (7, 10): "f532b218b16aecdb97424c1610499018d7d910df28ea99d59fb4d5882340b53f",
+    (7, 1000): "b62cce7de54b0c2840080ced59414dd11bc2cc67086dbfbbc561bf6a98046298",
+    (11, 10): "70e9b8e0c2e271aa612429bc432d9a14eca8efb905ba2b68254979691cab08de",
+    (11, 1000): "544399d6f78621759b955d909b0a56871562bc64cce3003646d6c46e0c9ff8fd",
+}
+
+MARKET_DIALOGUE_DIGEST = "ba0b29cbd20940d09f228bc17389aaf07e46a7ab2b1581ca18453ce64be5c0aa"
+
+# tick -> (npc, player utterance), asked right after that tick. The
+# utterances carry quotes, a backslash, a control character and non-ASCII
+# text, which the trace must escape.
+DIALOGUE_SCRIPT = {
+    5: ("merchant_a", 'Any "deals" today?'),
+    40: ("beggar_a", "Spare a coin\\ for the road"),
+    41: ("merchant_b", "¿Qué pasó con tu tienda?\n"),
+    77: ("mayor", "Is the square safe? \u2603"),
+    120: ("guard_a", "\tAll quiet?"),
 }
 
 VARIABLE_LINE = '"kind":"VariableChanged"'
@@ -118,3 +148,64 @@ def test_noisy_drift_trace_digest(seed):
     (drift,) = doc["drift_schedule"]
     drift["noise"] = 0.05
     assert trace_digests(json.dumps(doc), seed) == (NOISY_FULL_DIGESTS[seed], NOISY_DIGESTS[seed])
+
+
+def run_market(seed: int, npc_count: int, sink: Optional[TextIO] = None,
+               dialogue: bool = False) -> Simulation:
+    """The market town for MARKET_TICKS ticks, with the scripted player
+    dialogue when asked; a `sink` streams the trace through `TraceWriter`,
+    none keeps it in the collector."""
+    sim = Simulation(
+        load_scenario(MARKET_PATH.read_text(encoding="utf-8")),
+        seed=seed,
+        npc_count=npc_count,
+        trace_stream=sink,
+    )
+    for _ in range(MARKET_TICKS):
+        sim.step()
+        if dialogue and sim.ledger.tick in DIALOGUE_SCRIPT:
+            sim.request_dialogue(*DIALOGUE_SCRIPT[sim.ledger.tick])
+    sim.trace.close()
+    return sim
+
+
+@pytest.mark.parametrize("seed,npcs", sorted(MARKET_DIGESTS))
+def test_market_town_trace_digest(seed, npcs):
+    sink = HashingSink()
+    run_market(seed, npcs, sink)
+    assert sink.hexdigest() == MARKET_DIGESTS[(seed, npcs)]
+
+
+def test_market_town_with_dialogue_trace_digest():
+    sink = HashingSink()
+    run_market(7, 10, sink, dialogue=True)
+    assert sink.hexdigest() == MARKET_DIALOGUE_DIGEST
+
+
+def test_market_town_lights_every_trace_kind():
+    events = run_market(7, 10, dialogue=True).trace.events
+    assert {e.kind for e in events} == set(KINDS)
+    fired = [e.payload["rule"] for e in events if e.kind == "EventFired"]
+    assert {"riot", "market_day", "tax_levy"} <= set(fired)
+    assert len(fired) > len(set(fired))  # cooldowns run out and rules refire
+    assert any(e.kind == "EventRejected" for e in events)
+    hops = {(e.payload["from"], e.payload["to"]) for e in events if e.kind == "TagMigrated"}
+    assert hops == {("Merchant", "Beggar"), ("Beggar", "Merchant")}
+    modes = {e.payload["directive"]["selector_mode"] for e in events if e.kind == "DirectiveIssued"}
+    assert modes == {"any", "all"}
+    assert any(e.kind == "ActionExecuted" and e.payload["action"] == "hide" for e in events)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_file_sink_writes_the_collector_events_as_json(seed):
+    """Both sinks see the same events, and the file sink's bytes are what
+    plain `json.dumps` makes of them, line by line."""
+    sink = io.StringIO()
+    run_market(seed, 10, sink, dialogue=True)
+    collected = run_market(seed, 10, dialogue=True).trace
+    lines = [collected.meta] + [event.to_line_dict() for event in collected.events]
+    expected = "".join(
+        json.dumps(line, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for line in lines
+    )
+    assert sink.getvalue() == expected
