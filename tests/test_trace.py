@@ -44,7 +44,6 @@ def test_writer_puts_meta_on_the_first_line():
     assert json.loads(lines[1]) == {
         "tick": 4, "phase": "Critic", "kind": "EventFired", "event": "severe_drought@4",
     }
-    assert writer.events_written == 1
 
 
 def test_lines_are_compact_with_sorted_keys():
