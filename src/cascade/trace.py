@@ -199,6 +199,22 @@ class TraceCollector:
         return sum(1 for e in self.events if e.kind == kind)
 
 
+def _reject_non_finite(token: str) -> float:
+    raise ValueError(f"non-finite number {token}")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if value - value != 0.0:  # a literal such as 1e999 overflows to inf
+        _reject_non_finite(token)
+    return value
+
+
+# TraceWriter never writes NaN or infinities, so a trace that holds them is
+# corrupt; plain json.loads would accept NaN, Infinity and 1e999.
+_load = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_non_finite).decode
+
+
 def read_trace(lines: Iterable[str]) -> tuple[dict[str, Any], list[TraceEvent]]:
     """Parse a trace back into (meta, events). Malformed input names the
     offending line number."""
@@ -209,9 +225,11 @@ def read_trace(lines: Iterable[str]) -> tuple[dict[str, Any], list[TraceEvent]]:
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
+            obj = _load(raw)
         except json.JSONDecodeError as exc:
             raise TraceError(line_no, f"invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:
+            raise TraceError(line_no, str(exc)) from exc
         if not isinstance(obj, dict):
             raise TraceError(line_no, "expected a JSON object")
         if line_no == 1:

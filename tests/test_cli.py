@@ -208,6 +208,19 @@ def test_report_rejects_malformed_lines(tmp_path, capsys, meta, line, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
+def test_report_rejects_non_finite_numbers(tmp_path, capsys, number):
+    trace = tmp_path / "non_finite.jsonl"
+    good = json.dumps(VARIABLE_LINE)
+    trace.write_text(
+        "\n".join(['{"npc_count":1}', good, good.replace("0.5", number)]) + "\n", encoding="utf-8",
+    )
+    assert run_cli("report", "--trace", str(trace)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"trace line 3: non-finite number {number}" in captured.err
+    assert captured.out == ""
+
+
 def test_report_missing_trace(tmp_path, capsys):
     assert run_cli("report", "--trace", str(tmp_path / "nope.jsonl")) == EXIT_INPUT
     assert "cannot read trace" in capsys.readouterr().err

@@ -6,6 +6,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade.trace import (
     CostReport,
@@ -18,6 +20,7 @@ from cascade.trace import (
     TraceEvent,
     TraceWriter,
     build_cost_report,
+    encode_event,
     read_trace,
 )
 
@@ -53,6 +56,105 @@ def test_lines_are_compact_with_sorted_keys():
     first, second = sink.getvalue().splitlines()
     assert first == '{"a":2,"b":1}'
     assert second == '{"kind":"ActionExecuted","npc":"solo","phase":"Act","tick":1,"z":1}'
+
+
+# --- the line encoder against plain json.dumps ------------------------------
+
+
+class FloatSubclass(float):
+    pass
+
+
+class IntSubclass(int):
+    pass
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([0, 1, -7, 2**70, 0.0, -0.0, 1e-7, 5e-324, 1e15, -1e15, 0.1 + 0.2,
+                     1.7976931348623157e308]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Values json.dumps writes like a number or a literal, but which are not an
+# exact int or float.
+LOOKALIKES = st.sampled_from([True, False, None, FloatSubclass(0.25), IntSubclass(3)])
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+TEXTS = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001d11e", ""]),
+    st.text(max_size=8),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(LOOKALIKES, NUMBERS, TEXTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(TEXTS, inner, max_size=3)),
+    max_leaves=6,
+)
+CHANGE = st.fixed_dictionaries({"after": NUMBERS, "before": NUMBERS})
+# one_of draws its branches about evenly, so repeats weight a branch.
+CHANGES = st.one_of(CHANGE, CHANGE, CHANGE, st.fixed_dictionaries({"after": NUMBERS}), JSON_VALUES)
+TAGS = st.lists(TEXTS, max_size=3)
+PAYLOADS = {
+    "VariableChanged": {"variable": TEXTS, "intensity": NUMBERS},
+    "UtilityEvaluated": {
+        "npc": TEXTS, "directive": TEXTS, "action": TEXTS,
+        "base_term": NUMBERS, "trait_term": NUMBERS, "need_term": NUMBERS, "risk_term": NUMBERS,
+        "total": NUMBERS, "threshold": NUMBERS, "accepted": st.booleans(),
+    },
+    "ActionExecuted": {
+        "npc": TEXTS,
+        "action": TEXTS,
+        "directive": st.one_of(st.none(), TEXTS),
+        "parameters": st.dictionaries(TEXTS, JSON_VALUES, max_size=3),
+        "tags": st.one_of(TAGS, TAGS, TAGS, st.tuples(TEXTS)),
+        "state_deltas": st.dictionaries(TEXTS, CHANGES, max_size=3),
+    },
+}
+
+
+@st.composite
+def templated_events(draw) -> TraceEvent:
+    """A payload of one of the templated kinds, right in shape or off by
+    one mutation: a field or the envelope's tick or phase of any JSON
+    type, a key dropped or added, or a NaN or infinity planted at the top
+    level or inside a nested value."""
+    kind = draw(st.sampled_from(sorted(PAYLOADS)))
+    fields = PAYLOADS[kind]
+    payload = {name: draw(strategy) for name, strategy in fields.items()}
+    tick = draw(st.integers(min_value=0, max_value=10**6))
+    phase = draw(st.one_of(st.sampled_from(PHASES), TEXTS))
+    mutation = draw(st.sampled_from(
+        ["none", "none", "none", "wrong_type", "envelope", "drop", "extra", "non_finite"]))
+    name = draw(st.sampled_from(sorted(fields)))
+    wrong = st.one_of(LOOKALIKES, JSON_VALUES)
+    if mutation == "wrong_type":
+        payload[name] = draw(wrong)
+    elif mutation == "envelope":
+        tick, phase = draw(st.sampled_from([(draw(wrong), phase), (tick, draw(wrong))]))
+    elif mutation == "drop":
+        del payload[name]
+    elif mutation == "extra":
+        payload[draw(st.one_of(st.sampled_from(["tick", "phase", "kind", "zz"]), TEXTS))] = draw(JSON_VALUES)
+    elif mutation == "non_finite":
+        bad = draw(NON_FINITE)
+        payload[name] = draw(st.sampled_from([bad, [bad], {"deep": {"after": bad, "before": 0.5}}]))
+    return TraceEvent(tick, phase, kind, payload)
+
+
+def json_dumps_line(event: TraceEvent) -> str:
+    line = {"tick": event.tick, "phase": event.phase, "kind": event.kind}
+    line.update(event.payload)
+    return json.dumps(line, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@settings(max_examples=400)
+@given(templated_events())
+def test_encode_event_writes_what_json_dumps_writes(event):
+    try:
+        expected = json_dumps_line(event)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            encode_event(event)
+        return
+    assert encode_event(event) == expected
 
 
 def test_writer_refuses_non_finite_numbers():
@@ -103,6 +205,22 @@ def test_reader_names_the_bad_line():
         read_trace(io.StringIO(text))
     assert str(excinfo.value).startswith("trace line 3: invalid JSON")
     assert excinfo.value.line_no == 3
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_reader_rejects_non_finite_numbers(number, line_no):
+    lines = [json.dumps(META), '{"tick":1,"phase":"Clock","kind":"VariableChanged","variable":"x","intensity":0.5}']
+    lines[line_no - 1] = lines[line_no - 1][:-1] + f',"bad":[{number}]}}'
+    with pytest.raises(TraceError) as excinfo:
+        read_trace(io.StringIO("\n".join(lines) + "\n"))
+    assert str(excinfo.value) == f"trace line {line_no}: non-finite number {number}"
+
+
+def test_reader_keeps_the_largest_finite_floats():
+    line = '{"tick":1,"phase":"Clock","kind":"VariableChanged","big":1.7976931348623157e308,"tiny":5e-324}'
+    _, (event,) = read_trace(io.StringIO(json.dumps(META) + "\n" + line + "\n"))
+    assert event.payload == {"big": 1.7976931348623157e308, "tiny": 5e-324}
 
 
 def test_reader_rejects_non_objects():
