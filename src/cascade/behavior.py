@@ -17,7 +17,7 @@ statically so scenario loading can reject trees that could come up empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
 from .core import COMPARE, NpcProfile, WorldLedger
@@ -31,17 +31,25 @@ class Condition:
     field: str
     op: str  # one of < <= > >=
     value: float
+    # `field` split at its first dot, once, at construction.
+    space: str = dataclass_field(init=False, compare=False, repr=False)
+    key: str = dataclass_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        space, _, key = self.field.partition(".")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "key", key)
 
     def holds(self, npc: NpcProfile, ledger: WorldLedger) -> bool:
-        space, _, key = self.field.partition(".")
+        space = self.space
         if space == "needs":
-            actual = npc.needs.get(key, 0.0)
+            actual = npc.needs.get(self.key, 0.0)
         elif space == "state":
-            actual = npc.local_state.get(key, 0.0)
+            actual = npc.local_state.get(self.key, 0.0)
         elif space == "personality":
-            actual = npc.personality.get(key, 0.0)
+            actual = npc.personality.get(self.key, 0.0)
         elif space == "var":
-            actual = ledger.intensity(key)
+            actual = ledger.intensity(self.key)
         else:
             raise KeyError(f"condition field {self.field!r} has unknown namespace")
         return COMPARE[self.op](actual, self.value)
@@ -67,14 +75,15 @@ BTNode = Union[Condition, ActionLeaf, Sequence, Selector]
 
 def evaluate(node: BTNode, npc: NpcProfile, ledger: WorldLedger) -> Optional[str]:
     """Run the tree for this NPC; returns the chosen action id or None."""
-    if isinstance(node, ActionLeaf):
+    kind = type(node)
+    if kind is ActionLeaf:
         return node.action_id
-    if isinstance(node, Condition):
+    if kind is Condition:
         return None  # a bare condition selects nothing
-    if isinstance(node, Sequence):
+    if kind is Sequence:
         produced: Optional[str] = None
         for child in node.children:
-            if isinstance(child, Condition):
+            if type(child) is Condition:
                 if not child.holds(npc, ledger):
                     return None
             else:

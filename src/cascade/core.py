@@ -1,9 +1,9 @@
 """Shared value types for the simulation.
 
-Everything here is an immutable record: updates go through
-``dataclasses.replace`` or the pure functions in the layer modules.
-Dict-valued fields are treated as frozen by convention; no code in this
-package mutates one after construction.
+Everything here is an immutable record: an update builds a new record,
+in the pure functions of the layer modules, and shares whatever it does
+not change. Dict-valued fields are treated as frozen by convention; no
+code in this package mutates one after construction.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ scenario plus a seed fully determines the trace, byte for byte.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Optional, TextIO, Union
 
-from .core import Directive, MacroEvent, NpcProfile, directive_to_packet, selector_matches
+from .core import Directive, MacroEvent, NpcProfile, TagSelector, directive_to_packet, selector_matches
 from .director import advance_clock, apply_event, critic_check, evaluate_rules
 from .hub import DirectiveIdSource, broadcast, compile_directives, expire_directives, route_activation
 from .npc import (
@@ -105,6 +106,12 @@ class Simulation:
                 raise ValueError(f"duplicate npc id {npc.id!r} in roster")
             self.npcs[npc.id] = npc
         self._order = sorted(self.npcs)
+        # Level 2 -> 3 routing: tag -> ids of the NPCs carrying it. Built
+        # here and changed only when Migrate swaps a profile's tags.
+        self._members: defaultdict[str, set[str]] = defaultdict(set)
+        for npc in roster:
+            for tag in npc.tags:
+                self._members[tag].add(npc.id)
         self.meta = run_meta(scenario, self.seed, len(roster))
         self.trace: Union[TraceWriter, TraceCollector]
         if trace_stream is not None:
@@ -193,24 +200,33 @@ class Simulation:
         # Deliver: one-shot tag-routed notification at the issue tick. The
         # directive stays in the active set until expiry so NPCs that
         # migrate into a matching tag later still see it when scoring.
-        roster = [self.npcs[nid] for nid in self._order]
-        for record in broadcast(fresh, roster):
-            self._emit(tick, "Deliver", "DirectiveDelivered", {
-                "directive": record.directive_id,
-                "npcs": list(record.npc_ids),
-                "count": len(record.npc_ids),
-            })
-        self.active_directives.extend(fresh)
+        if fresh:
+            roster = [self.npcs[nid] for nid in self._order]
+            for record in broadcast(fresh, roster):
+                self._emit(tick, "Deliver", "DirectiveDelivered", {
+                    "directive": record.directive_id,
+                    "npcs": list(record.npc_ids),
+                    "count": len(record.npc_ids),
+                })
+            self.active_directives.extend(fresh)
 
-        # Score: every NPC judges every live directive matching its tags.
+        # Score: every NPC judges every live directive matching its tags,
+        # in NPC order and then directive id order. The tag index resolves
+        # each selector once, so no NPC is tested against a directive that
+        # does not reach it.
         live = sorted(self.active_directives, key=lambda d: d.id)
         self.directive_index = {d.id: d for d in live}
+        reached: dict[str, list[Directive]] = {}
+        for directive in live:
+            for npc_id in self._selected(directive.selector):
+                reached.setdefault(npc_id, []).append(directive)
         accepted_by_npc: dict[str, list[UtilityBreakdown]] = {}
         for npc_id in self._order:
+            directives = reached.get(npc_id)
+            if directives is None:
+                continue
             npc = self.npcs[npc_id]
-            for directive in live:
-                if not selector_matches(directive.selector, npc.tags):
-                    continue
+            for directive in directives:
                 binding = self.scenario.catalog[directive.action_id]
                 breakdown = score_directive(npc, directive, binding, self.scenario.weights)
                 self._emit(tick, "Score", "UtilityEvaluated", {
@@ -236,7 +252,8 @@ class Simulation:
             best = best_breakdown(accepted)
             directive = self.directive_index[best.directive_id] if best is not None else None
             updated, events = execute_action(npc, self.scenario.catalog[action_id], tick, directive)
-            self.npcs[npc_id] = updated
+            if updated is not npc:
+                self.npcs[npc_id] = updated
             self.last_action[npc_id] = action_id
             self.summary.actions_executed += 1
             for event in events:
@@ -244,8 +261,14 @@ class Simulation:
 
         # Migrate: role FSM, at most one hop per NPC per tick.
         for npc_id in self._order:
-            updated, events = migrate_tags(self.npcs[npc_id], self.scenario.migration_rules, tick)
-            self.npcs[npc_id] = updated
+            npc = self.npcs[npc_id]
+            updated, events = migrate_tags(npc, self.scenario.migration_rules, tick)
+            if updated is not npc:
+                self.npcs[npc_id] = updated
+                for tag in npc.tags:
+                    self._members[tag].discard(npc_id)
+                for tag in updated.tags:
+                    self._members[tag].add(npc_id)
             self.summary.migrations += len(events)
             for event in events:
                 self.trace.emit(event)
@@ -292,6 +315,14 @@ class Simulation:
         return text
 
     # -- helpers -------------------------------------------------------------
+
+    def _selected(self, selector: TagSelector) -> set[str]:
+        """Ids of the NPCs a selector reaches: the union of its tags'
+        members for `any`, the intersection for `all`."""
+        members = [self._members[tag] for tag in selector.tags]
+        if selector.mode == "any":
+            return set().union(*members)
+        return set.intersection(*members)
 
     def _emit(self, tick: int, phase: str, kind: str, payload: dict[str, Any]) -> None:
         self.trace.emit(TraceEvent(tick=tick, phase=phase, kind=kind, payload=payload))

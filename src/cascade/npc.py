@@ -54,6 +54,16 @@ class ActionBinding:
     satisfies_needs: dict[str, float] = field(default_factory=dict)  # need -> relief
     local_effects: dict[str, float] = field(default_factory=dict)  # state -> delta
     default: bool = False
+    # The three maps as key-sorted pairs, the order every sum and update
+    # walks them in; computed once here rather than on every call.
+    trait_terms: tuple[tuple[str, float], ...] = field(init=False, compare=False, repr=False)
+    need_terms: tuple[tuple[str, float], ...] = field(init=False, compare=False, repr=False)
+    effect_terms: tuple[tuple[str, float], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trait_terms", tuple(sorted(self.trait_affinities.items())))
+        object.__setattr__(self, "need_terms", tuple(sorted(self.satisfies_needs.items())))
+        object.__setattr__(self, "effect_terms", tuple(sorted(self.local_effects.items())))
 
 
 def score_directive(
@@ -66,16 +76,18 @@ def score_directive(
     traits count as 0; the trait term clamps to [-1, 1] and the need term
     to [0, 1]."""
     base_term = directive.base_priority
-    trait_term = clamp(
-        sum(sign * npc.personality.get(trait, 0.0)
-            for trait, sign in sorted(binding.trait_affinities.items())),
-        -1.0, 1.0,
-    )
-    need_term = clamp(
-        sum(relief * npc.needs.get(need, 0.0)
-            for need, relief in sorted(binding.satisfies_needs.items())),
-        0.0, 1.0,
-    )
+    # Plain left-to-right sums from the int 0, as `sum` adds them: an action
+    # without traits keeps the int 0 that the trace has always carried.
+    trait_sum = 0
+    personality = npc.personality
+    for trait, sign in binding.trait_terms:
+        trait_sum += sign * personality.get(trait, 0.0)
+    need_sum = 0
+    needs = npc.needs
+    for need, relief in binding.need_terms:
+        need_sum += relief * needs.get(need, 0.0)
+    trait_term = clamp(trait_sum, -1.0, 1.0)
+    need_term = clamp(need_sum, 0.0, 1.0)
     risk_term = directive.risk
     total = (
         weights.base * base_term
@@ -130,24 +142,40 @@ def execute_action(
     directive: Optional[Directive] = None,
 ) -> tuple[NpcProfile, list[TraceEvent]]:
     """Apply the action's local effects (wealth never drops below 0) and
-    need relief, and record the act with before/after state deltas."""
-    local_state = dict(npc.local_state)
+    need relief, and record the act with before/after state deltas.
+
+    The input profile is never changed. An action with neither effects nor
+    relief returns it as it is; otherwise a new profile gets fresh copies
+    of the maps the action touches and shares the rest."""
     deltas: dict[str, dict[str, float]] = {}
-    for key, delta in sorted(binding.local_effects.items()):
-        before = local_state.get(key, 0.0)
-        after = before + delta
-        if key == "wealth":
-            after = max(0.0, after)
-        local_state[key] = after
-        if after != before:
-            deltas[key] = {"before": before, "after": after}
-
-    needs = dict(npc.needs)
-    for need, relief in sorted(binding.satisfies_needs.items()):
-        if need in needs:
-            needs[need] = clamp(needs[need] - relief, 0.0, 1.0)
-
-    updated = replace(npc, local_state=local_state, needs=needs)
+    updated = npc
+    if binding.effect_terms or binding.need_terms:
+        local_state = npc.local_state
+        if binding.effect_terms:
+            local_state = dict(local_state)
+            for key, delta in binding.effect_terms:
+                before = local_state.get(key, 0.0)
+                after = before + delta
+                if key == "wealth":
+                    after = max(0.0, after)
+                local_state[key] = after
+                if after != before:
+                    deltas[key] = {"before": before, "after": after}
+        needs = npc.needs
+        if binding.need_terms:
+            needs = dict(needs)
+            for need, relief in binding.need_terms:
+                if need in needs:
+                    needs[need] = clamp(needs[need] - relief, 0.0, 1.0)
+        updated = NpcProfile(
+            id=npc.id,
+            tags=npc.tags,
+            role_tag=npc.role_tag,
+            personality=npc.personality,
+            needs=needs,
+            local_state=local_state,
+            last_migration=npc.last_migration,
+        )
     event = TraceEvent(
         tick=tick,
         phase="Act",

@@ -5,8 +5,13 @@ twice."""
 
 from __future__ import annotations
 
-from hypothesis import given
+import copy
+from functools import lru_cache
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import MARKET_PATH
 
 from cascade.core import (
     CausalVariable,
@@ -22,6 +27,7 @@ from cascade.core import (
     VariablePredicate,
     WorldLedger,
     level_for,
+    selector_matches,
 )
 from cascade.director import DriftEntry, advance_clock, apply_event, evaluate_rules
 from cascade.hub import broadcast, expire_directives
@@ -31,10 +37,12 @@ from cascade.npc import (
     UtilityBreakdown,
     UtilityWeights,
     best_breakdown,
+    execute_action,
     migrate_tags,
     score_directive,
 )
-from cascade.engine import replicate_roster
+from cascade.engine import Simulation, replicate_roster
+from cascade.scenario import load_scenario_file
 
 ALPHABET = ("Farmer", "Guard", "Merchant", "Mayor", "Beggar", "Villager")
 VARIABLES = ("water_scarcity", "crime", "morale", "trade")
@@ -110,6 +118,95 @@ def test_broadcast_agrees_with_set_algebra(roster, sels):
         else:
             expected = sorted(npc.id for npc in roster if wanted <= set(npc.tags))
         assert list(record.npc_ids) == expected
+
+
+# --- Score routing -----------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def market_town():
+    return load_scenario_file(str(MARKET_PATH))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=2**32), npcs=st.integers(min_value=1, max_value=60))
+def test_score_visits_what_a_selector_scan_of_the_trace_selects(seed, npcs):
+    """Rebuild, from the starting roster and the trace alone, each NPC's
+    tags and the live directives at every Score phase, and require the
+    tick's UtilityEvaluated (npc, directive) pairs, in order, to be a
+    brute-force scan of every NPC against every live directive."""
+    scenario = market_town()
+    sim = Simulation(scenario, seed=seed, npc_count=npcs)
+    sim.run(60)
+    by_tick: dict[int, list] = {}
+    for event in sim.trace.events:
+        by_tick.setdefault(event.tick, []).append(event)
+
+    tags = {npc.id: set(npc.tags) for npc in replicate_roster(scenario.npcs, npcs)}
+    issued: list[tuple[str, TagSelector, int, int]] = []
+    saw_all_mode = migrated = False
+    for tick in range(1, 61):
+        events = by_tick.get(tick, [])
+        for e in events:
+            if e.kind == "DirectiveIssued":
+                packet = e.payload["directive"]
+                selector = TagSelector(packet["selector_mode"], tuple(packet["selector_tags"]))
+                issued.append((packet["id"], selector, packet["issued_tick"], packet["ttl_ticks"]))
+        live = sorted((d for d in issued if d[2] <= tick < d[2] + d[3]), key=lambda d: d[0])
+        expected = [
+            (npc_id, directive_id)
+            for npc_id in sorted(tags)
+            for directive_id, selector, _, _ in live
+            if selector_matches(selector, tuple(tags[npc_id]))
+        ]
+        evaluated = [(e.payload["npc"], e.payload["directive"]) for e in events if e.kind == "UtilityEvaluated"]
+        assert evaluated == expected, f"tick {tick}"
+        saw_all_mode |= any(sel.mode == "all" for _, sel, _, _ in live)
+        for e in events:
+            if e.kind == "ActionExecuted":
+                assert set(e.payload["tags"]) == tags[e.payload["npc"]]
+            elif e.kind == "TagMigrated":
+                moved = tags[e.payload["npc"]]
+                assert e.payload["from"] in moved
+                moved.discard(e.payload["from"])
+                moved.add(e.payload["to"])
+                migrated = True
+    assert saw_all_mode and (migrated or npcs < 3)
+
+
+# --- action execution --------------------------------------------------------
+
+
+state_keys = st.sampled_from(["wealth", "stored_grain", "stored_water"])
+
+
+@st.composite
+def action_cases(draw):
+    npc = NpcProfile(
+        id="subject",
+        tags=("Villager",),
+        role_tag="Villager",
+        personality={t: draw(st.floats(min_value=-1, max_value=1, allow_nan=False)) for t in draw(trait_names)},
+        needs={n: draw(unit) for n in draw(need_names)},
+        local_state={"wealth": draw(st.floats(min_value=0, max_value=50, allow_nan=False)),
+                     **{k: draw(unit) for k in draw(st.sets(state_keys))}},
+    )
+    binding = ActionBinding(
+        action_id="act",
+        trait_affinities={t: draw(st.sampled_from([-1.0, 1.0])) for t in draw(trait_names)},
+        satisfies_needs={n: draw(unit) for n in draw(need_names)},
+        local_effects={k: draw(st.floats(min_value=-20, max_value=20, allow_nan=False)) for k in draw(st.sets(state_keys))},
+    )
+    return npc, binding
+
+
+@given(case=action_cases())
+def test_execute_action_never_changes_its_input(case):
+    npc, binding = case
+    before = copy.deepcopy(npc)
+    updated, _ = execute_action(npc, binding, tick=1)
+    assert npc == before
+    assert (updated is npc) == (not binding.local_effects and not binding.satisfies_needs)
 
 
 # --- macro rule evaluation ---------------------------------------------------
