@@ -178,6 +178,25 @@ def test_report_token_override(golden_file, tmp_path, capsys):
     assert "baseline tokens:    2000" in out
 
 
+@pytest.mark.parametrize("tokens", ["-500", "-1"])
+def test_report_rejects_negative_tokens_per_call(golden_file, tmp_path, capsys, tokens):
+    trace = tmp_path / "run.jsonl"
+    run_cli("run", "--scenario", golden_file, "--ticks", "2", "--seed", "7", "--trace", str(trace))
+    capsys.readouterr()
+    assert run_cli("report", "--trace", str(trace), "--tokens-per-call", tokens) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tokens-per-call must be >= 0" in captured.err
+
+
+def test_report_accepts_zero_tokens_per_call(golden_file, tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    run_cli("run", "--scenario", golden_file, "--ticks", "2", "--seed", "7", "--trace", str(trace))
+    capsys.readouterr()
+    assert run_cli("report", "--trace", str(trace), "--tokens-per-call", "0") == EXIT_OK
+    assert "baseline tokens:    0\n" in capsys.readouterr().out
+
+
 def test_report_names_the_corrupt_line(tmp_path, capsys):
     trace = tmp_path / "broken.jsonl"
     trace.write_text('{"npc_count":1}\n{oops\n', encoding="utf-8")
