@@ -252,8 +252,7 @@ class Simulation:
             best = best_breakdown(accepted)
             directive = self.directive_index[best.directive_id] if best is not None else None
             updated, events = execute_action(npc, self.scenario.catalog[action_id], tick, directive)
-            if updated is not npc:
-                self.npcs[npc_id] = updated
+            self.npcs[npc_id] = updated
             self.last_action[npc_id] = action_id
             self.summary.actions_executed += 1
             for event in events:
