@@ -174,41 +174,6 @@ def test_score_visits_what_a_selector_scan_of_the_trace_selects(seed, npcs):
     assert saw_all_mode and (migrated or npcs < 3)
 
 
-# --- action execution --------------------------------------------------------
-
-
-state_keys = st.sampled_from(["wealth", "stored_grain", "stored_water"])
-
-
-@st.composite
-def action_cases(draw):
-    npc = NpcProfile(
-        id="subject",
-        tags=("Villager",),
-        role_tag="Villager",
-        personality={t: draw(st.floats(min_value=-1, max_value=1, allow_nan=False)) for t in draw(trait_names)},
-        needs={n: draw(unit) for n in draw(need_names)},
-        local_state={"wealth": draw(st.floats(min_value=0, max_value=50, allow_nan=False)),
-                     **{k: draw(unit) for k in draw(st.sets(state_keys))}},
-    )
-    binding = ActionBinding(
-        action_id="act",
-        trait_affinities={t: draw(st.sampled_from([-1.0, 1.0])) for t in draw(trait_names)},
-        satisfies_needs={n: draw(unit) for n in draw(need_names)},
-        local_effects={k: draw(st.floats(min_value=-20, max_value=20, allow_nan=False)) for k in draw(st.sets(state_keys))},
-    )
-    return npc, binding
-
-
-@given(case=action_cases())
-def test_execute_action_never_changes_its_input(case):
-    npc, binding = case
-    before = copy.deepcopy(npc)
-    updated, _ = execute_action(npc, binding, tick=1)
-    assert npc == before
-    assert (updated is npc) == (not binding.local_effects and not binding.satisfies_needs)
-
-
 # --- macro rule evaluation ---------------------------------------------------
 
 
@@ -489,6 +454,41 @@ def test_best_breakdown_agrees_with_brute_argmax(accepted):
         elif b.total == winner.total and b.directive_id < winner.directive_id:
             winner = b
     assert best_breakdown(accepted) is winner
+
+
+# --- action execution --------------------------------------------------------
+
+
+state_keys = st.sampled_from(["wealth", "stored_grain", "stored_water"])
+
+
+@st.composite
+def action_cases(draw):
+    npc = NpcProfile(
+        id="subject",
+        tags=("Villager",),
+        role_tag="Villager",
+        personality={t: draw(st.floats(min_value=-1, max_value=1, allow_nan=False)) for t in draw(trait_names)},
+        needs={n: draw(unit) for n in draw(need_names)},
+        local_state={"wealth": draw(st.floats(min_value=0, max_value=50, allow_nan=False)),
+                     **{k: draw(unit) for k in draw(st.sets(state_keys))}},
+    )
+    binding = ActionBinding(
+        action_id="act",
+        trait_affinities={t: draw(st.sampled_from([-1.0, 1.0])) for t in draw(trait_names)},
+        satisfies_needs={n: draw(unit) for n in draw(need_names)},
+        local_effects={k: draw(st.floats(min_value=-20, max_value=20, allow_nan=False)) for k in draw(st.sets(state_keys))},
+    )
+    return npc, binding
+
+
+@given(case=action_cases())
+def test_execute_action_never_changes_its_input(case):
+    npc, binding = case
+    before = copy.deepcopy(npc)
+    updated, _ = execute_action(npc, binding, tick=1)
+    assert npc == before
+    assert (updated is npc) == (not binding.local_effects and not binding.satisfies_needs)
 
 
 # --- migration hysteresis ----------------------------------------------------
