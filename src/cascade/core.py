@@ -163,22 +163,27 @@ class MacroEvent:
     trigger_snapshot: dict[str, float] = field(default_factory=dict)
     critic_verdict: Optional[CriticVerdict] = None
     effects: tuple[Effect, ...] = ()
+    # The first tick on which the event is no longer active; set once here.
+    ends_tick: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        longest = max((e.duration_ticks for e in self.effects), default=1)
+        object.__setattr__(self, "ends_tick", self.fired_tick + longest)
 
     def active_at(self, tick: int) -> bool:
         """True until the tick on which its longest effect lands; an event
         without effects is active on its firing tick only."""
-        return tick - self.fired_tick < max((e.duration_ticks for e in self.effects), default=1)
+        return tick < self.ends_tick
 
 
 @dataclass(frozen=True, slots=True)
 class WorldLedger:
-    """Objective world state. Holds causal variables and the macro event log;
-    never tracks individual NPC behaviour."""
+    """Objective world state. Holds causal variables and each rule's latest
+    accepted firing; never tracks individual NPC behaviour."""
 
     tick: int
     variables: dict[str, CausalVariable]
     season: str
-    active_events: tuple[MacroEvent, ...] = ()
     fired_log: tuple[MacroEvent, ...] = ()
     # Carried here so ledger-in/ledger-out operations can derive levels
     # without extra plumbing.

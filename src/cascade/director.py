@@ -1,7 +1,7 @@
 """Macro layer: narrative clock, threshold rules, causal critic.
 
 Every operation is a pure ledger-in/ledger-out transformation. Per tick the
-order is fixed: drift -> active-event effects -> rule evaluation -> critic
+order is fixed: drift -> event effects -> rule evaluation -> critic
 -> apply. Randomness enters only through optional drift noise, drawn from
 the run's single generator.
 """
@@ -39,10 +39,10 @@ def advance_clock(
     drifts: tuple[DriftEntry, ...],
     rng: Optional[random.Random] = None,
 ) -> WorldLedger:
-    """Advance one tick: apply in-window drifts, then the effects of active
+    """Advance one tick: apply in-window drifts, then the effects of fired
     events whose window covers the new tick, clamping intensity to [0, 1].
-    A variable whose intensity is unchanged keeps its record. Events whose
-    last effect has landed drop out."""
+    A variable whose intensity is unchanged keeps its record. An expired
+    event lands nothing, so the fired log needs no filtering."""
     tick = ledger.tick + 1
     intensities = {name: v.intensity for name, v in ledger.variables.items()}
     start = dict(intensities)
@@ -57,7 +57,7 @@ def advance_clock(
                 raise KeyError(f"drift references unknown variable {entry.variable!r}")
             intensities[entry.variable] = clamp(intensities[entry.variable] + delta, 0.0, 1.0)
 
-    for event in ledger.active_events:
+    for event in ledger.fired_log:
         for eff in event.effects:
             if tick - event.fired_tick <= eff.duration_ticks:
                 if eff.variable not in intensities:
@@ -71,12 +71,7 @@ def advance_clock(
         for name, var in ledger.variables.items()
     }
 
-    return replace(
-        ledger,
-        tick=tick,
-        variables=variables,
-        active_events=tuple(e for e in ledger.active_events if e.active_at(tick)),
-    )
+    return replace(ledger, tick=tick, variables=variables)
 
 
 def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> list[MacroEvent]:
@@ -84,24 +79,13 @@ def evaluate_rules(ledger: WorldLedger, rules: tuple[MacroEventRule, ...]) -> li
     which are not currently active, and whose cooldown has elapsed. Candidates
     come back ordered by rule id; each carries a snapshot of the trigger
     variables' intensities."""
-    active_rule_ids = {ae.rule_id for ae in ledger.active_events}
-    # apply_event appends in fired order, so walking the log backwards meets
-    # each rule's latest firing first. An entry older than the longest
-    # cooldown blocks no rule, and neither does anything before it.
-    horizon = ledger.tick - max((rule.cooldown_ticks for rule in rules), default=0)
-    last_fired: dict[str, int] = {}
-    for ev in reversed(ledger.fired_log):
-        if ev.fired_tick < horizon:
-            break
-        last_fired.setdefault(ev.rule_id, ev.fired_tick)
-
+    latest = {ev.rule_id: ev for ev in ledger.fired_log}
     candidates: list[MacroEvent] = []
     for rule in sorted(rules, key=lambda r: r.id):
         if not rule.trigger:
             continue  # a rule with no trigger never fires
-        if rule.id in active_rule_ids:
-            continue
-        if rule.id in last_fired and ledger.tick - last_fired[rule.id] <= rule.cooldown_ticks:
+        last = latest.get(rule.id)
+        if last and (last.active_at(ledger.tick) or ledger.tick - last.fired_tick <= rule.cooldown_ticks):
             continue
         if all(p.holds(ledger) for p in rule.trigger):
             snapshot = {p.variable: ledger.intensity(p.variable) for p in rule.trigger}
@@ -153,15 +137,16 @@ def critic_check(rule: MacroEventRule, ledger: WorldLedger) -> CriticVerdict:
 
 
 def apply_event(ledger: WorldLedger, event: MacroEvent) -> WorldLedger:
-    """Commit an accepted event: append it to the fired log and to the
-    active events, where its effects land over their durations. Applying a
-    rejected event is a fault."""
+    """Commit an accepted event: it replaces its rule's previous firing in
+    the fired log, and its effects land over their durations. Applying a
+    rejected event, or refiring a rule whose previous firing is still
+    active, is a fault."""
     if event.critic_verdict is None or not event.critic_verdict.accepted:
         raise InvariantViolation(
             f"apply_event: event {event.instance_id!r} was not accepted by the critic"
         )
-    return replace(
-        ledger,
-        active_events=ledger.active_events + (event,),
-        fired_log=ledger.fired_log + (event,),
-    )
+    for ev in ledger.fired_log:
+        if ev.rule_id == event.rule_id and ev.active_at(event.fired_tick):
+            raise InvariantViolation(f"apply_event: {event.instance_id!r} fired while {ev.instance_id!r} is active")
+    kept = tuple(ev for ev in ledger.fired_log if ev.rule_id != event.rule_id)
+    return replace(ledger, fired_log=kept + (event,))

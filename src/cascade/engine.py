@@ -13,13 +13,12 @@ scenario plus a seed fully determines the trace, byte for byte.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Optional, TextIO, Union
 
-from .core import Directive, MacroEvent, NpcProfile, TagSelector, directive_to_packet, selector_matches
+from .core import Directive, MacroEvent, NpcProfile, directive_to_packet, selector_matches
 from .director import advance_clock, apply_event, critic_check, evaluate_rules
-from .hub import DirectiveIdSource, broadcast, compile_directives, expire_directives, route_activation
+from .hub import DirectiveIdSource, TagIndex, broadcast, compile_directives, expire_directives, route_activation
 from .npc import (
     LlmCallCounter,
     TemplateDialogueProvider,
@@ -106,12 +105,7 @@ class Simulation:
                 raise ValueError(f"duplicate npc id {npc.id!r} in roster")
             self.npcs[npc.id] = npc
         self._order = sorted(self.npcs)
-        # Level 2 -> 3 routing: tag -> ids of the NPCs carrying it. Built
-        # here and changed only when Migrate swaps a profile's tags.
-        self._members: defaultdict[str, set[str]] = defaultdict(set)
-        for npc in roster:
-            for tag in npc.tags:
-                self._members[tag].add(npc.id)
+        self._tag_index = TagIndex(roster)
         self.meta = run_meta(scenario, self.seed, len(roster))
         self.trace: Union[TraceWriter, TraceCollector]
         if trace_stream is not None:
@@ -201,8 +195,7 @@ class Simulation:
         # directive stays in the active set until expiry so NPCs that
         # migrate into a matching tag later still see it when scoring.
         if fresh:
-            roster = [self.npcs[nid] for nid in self._order]
-            for record in broadcast(fresh, roster):
+            for record in broadcast(fresh, self._tag_index):
                 self._emit(tick, "Deliver", "DirectiveDelivered", {
                     "directive": record.directive_id,
                     "npcs": list(record.npc_ids),
@@ -218,7 +211,7 @@ class Simulation:
         self.directive_index = {d.id: d for d in live}
         reached: dict[str, list[Directive]] = {}
         for directive in live:
-            for npc_id in self._selected(directive.selector):
+            for npc_id in self._tag_index.select(directive.selector):
                 reached.setdefault(npc_id, []).append(directive)
         accepted_by_npc: dict[str, list[UtilityBreakdown]] = {}
         for npc_id in self._order:
@@ -264,10 +257,7 @@ class Simulation:
             updated, events = migrate_tags(npc, self.scenario.migration_rules, tick)
             if updated is not npc:
                 self.npcs[npc_id] = updated
-                for tag in npc.tags:
-                    self._members[tag].discard(npc_id)
-                for tag in updated.tags:
-                    self._members[tag].add(npc_id)
+                self._tag_index.move(npc_id, npc.tags, updated.tags)
             self.summary.migrations += len(events)
             for event in events:
                 self.trace.emit(event)
@@ -294,6 +284,7 @@ class Simulation:
         """On-demand conversation with one NPC. Reads a snapshot, never
         writes simulation state; each call is counted and traced."""
         npc = self.npcs[npc_id]
+        tick = self.ledger.tick
         active_actions = tuple(
             d.action_id
             for d in sorted(self.active_directives, key=lambda d: d.id)
@@ -304,9 +295,9 @@ class Simulation:
             player_utterance,
             provider or self.provider,
             self.counter,
-            tick=self.ledger.tick,
+            tick=tick,
             last_action=self.last_action.get(npc_id),
-            active_events=tuple(ae.rule_id for ae in self.ledger.active_events),
+            active_events=tuple(ev.rule_id for ev in self.ledger.fired_log if ev.active_at(tick)),
             active_actions=active_actions,
         )
         self.trace.emit(event)
@@ -314,14 +305,6 @@ class Simulation:
         return text
 
     # -- helpers -------------------------------------------------------------
-
-    def _selected(self, selector: TagSelector) -> set[str]:
-        """Ids of the NPCs a selector reaches: the union of its tags'
-        members for `any`, the intersection for `all`."""
-        members = [self._members[tag] for tag in selector.tags]
-        if selector.mode == "any":
-            return set().union(*members)
-        return set.intersection(*members)
 
     def _emit(self, tick: int, phase: str, kind: str, payload: dict[str, Any]) -> None:
         self.trace.emit(TraceEvent(tick=tick, phase=phase, kind=kind, payload=payload))

@@ -1,16 +1,19 @@
-"""Coordination layer: sparse module activation and directive compilation.
+"""Coordination layer: sparse module activation, directive compilation and
+tag routing.
 
 A domain module wakes only when one of its activation matchers recognises
 the fired event or the current variable levels. A woken module compiles
 its directive templates into group-level packets routed by tag selector.
-Nothing here reads NPC state, so directive counts are independent of town
-size by construction.
+Activation and compilation read no NPC state, so directive counts are
+independent of town size by construction; only the tag index knows which
+NPCs carry which tags.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import (
     Directive,
@@ -20,7 +23,6 @@ from .core import (
     TagSelector,
     VariablePredicate,
     WorldLedger,
-    selector_matches,
 )
 
 
@@ -74,6 +76,30 @@ class DomainModuleSpec:
 class DeliveryRecord:
     directive_id: str
     npc_ids: tuple[str, ...]  # sorted
+
+
+class TagIndex:
+    """Level 2 -> 3 routing: tag -> ids of the NPCs carrying it. Built from
+    the roster and changed only when an NPC's tags change."""
+
+    def __init__(self, npcs: Iterable[NpcProfile]) -> None:
+        self._members: defaultdict[str, set[str]] = defaultdict(set)
+        for npc in npcs:
+            self.move(npc.id, (), npc.tags)
+
+    def select(self, selector: TagSelector) -> set[str]:
+        """Ids of the NPCs a selector reaches: the union of its tags'
+        members for `any`, the intersection for `all`."""
+        members = [self._members[tag] for tag in selector.tags]
+        if selector.mode == "any":
+            return set().union(*members)
+        return set.intersection(*members)
+
+    def move(self, npc_id: str, old_tags: Iterable[str], new_tags: Iterable[str]) -> None:
+        for tag in old_tags:
+            self._members[tag].discard(npc_id)
+        for tag in new_tags:
+            self._members[tag].add(npc_id)
 
 
 class DirectiveIdSource:
@@ -130,17 +156,10 @@ def compile_directives(
     return issued
 
 
-def broadcast(directives: list[Directive], npcs: list[NpcProfile]) -> list[DeliveryRecord]:
-    """Resolve each directive's tag selector against the roster. Any-mode
-    matches on a non-empty intersection, all-mode on selector containment.
-    Matched ids come back sorted; delivery happens at the issue tick."""
-    records = []
-    for directive in directives:
-        matched = sorted(
-            npc.id for npc in npcs if selector_matches(directive.selector, npc.tags)
-        )
-        records.append(DeliveryRecord(directive.id, tuple(matched)))
-    return records
+def broadcast(directives: list[Directive], index: TagIndex) -> list[DeliveryRecord]:
+    """Resolve each directive's tag selector through the index. Matched ids
+    come back sorted; delivery happens at the issue tick."""
+    return [DeliveryRecord(d.id, tuple(sorted(index.select(d.selector)))) for d in directives]
 
 
 def expire_directives(active: list[Directive], tick: int) -> list[Directive]:

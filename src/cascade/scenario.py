@@ -242,7 +242,7 @@ def _parse_selector(obj: Any, path: str, errors: _Errors) -> Optional[TagSelecto
     return TagSelector(mode=mode, tags=tuple(tags))
 
 
-def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
+def _parse_tree(obj: Any, path: str, variable_names: set[str], errors: _Errors) -> Optional[BTNode]:
     if not isinstance(obj, dict) or "kind" not in obj:
         errors.add(path, "expected a node object with a 'kind' field")
         return None
@@ -253,7 +253,7 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
         children = _items(obj.get("children"), f"{path}.children", errors, "non-empty list required")
         if children is None:
             return None
-        parsed = [_parse_tree(child, cpath, errors) for cpath, child in children]
+        parsed = [_parse_tree(child, cpath, variable_names, errors) for cpath, child in children]
         if any(p is None for p in parsed):
             return None
         return Selector(tuple(parsed)) if kind == "selector" else Sequence(tuple(parsed))
@@ -268,9 +268,15 @@ def _parse_tree(obj: Any, path: str, errors: _Errors) -> Optional[BTNode]:
             return None
         if fld is None or op is None or value is None:
             return None
-        namespace = fld.partition(".")[0]
+        namespace, _, key = fld.partition(".")
         if namespace not in ("needs", "state", "personality", "var"):
             errors.add(f"{path}.field", f"field {fld!r} must start with needs./state./personality./var.")
+            return None
+        if not key:
+            errors.add(f"{path}.field", f"field {fld!r} names no key after its namespace")
+            return None
+        if namespace == "var" and key not in variable_names:
+            errors.add(f"{path}.field", f"unknown variable {key!r}")
             return None
         return Condition(field=fld, op=op, value=value)
     if kind == "action":
@@ -727,7 +733,7 @@ def load_scenario(text: str) -> Scenario:
 
     tree: Optional[BTNode] = None
     if "behavior_tree" in raw:
-        tree = _parse_tree(raw["behavior_tree"], "behavior_tree", errors)
+        tree = _parse_tree(raw["behavior_tree"], "behavior_tree", variable_names, errors)
     elif catalog:
         default_id = next((a for a, b in sorted(catalog.items()) if b.default), None)
         if default_id is not None:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import load_town, minimal_town
+from conftest import MARKET_PATH, load_town, minimal_town
 
 from cascade.core import NpcProfile
 from cascade.engine import Simulation, replicate_roster, run_meta
@@ -175,7 +175,6 @@ def test_rejected_events_never_enter_the_ledger(golden_path):
     # re-rejected because nothing enters the fired log.
     assert summary.events_fired == 0
     assert summary.events_rejected == 27
-    assert sim.ledger.active_events == ()
     assert sim.ledger.fired_log == ()
     rejected = events_of(sim, "EventRejected")
     assert {e.payload["reason"] for e in rejected} == {"season is Rainy"}
@@ -258,6 +257,16 @@ def test_long_run_keeps_no_state_per_past_tick(golden_path):
     assert events_of(sim, "VariableChanged")
     for name, var in sim.ledger.variables.items():
         assert var.history == initial_ledger(scenario).variables[name].history
+
+
+def test_ledger_keeps_one_firing_per_rule(tmp_path):
+    scenario = load_town(json.loads(MARKET_PATH.read_text(encoding="utf-8")))
+    with open(tmp_path / "market.jsonl", "w", encoding="utf-8") as sink:
+        sim = Simulation(scenario, seed=7, trace_stream=sink)
+        summary = sim.run(2000)
+    assert summary.events_fired > len(scenario.rules)  # rules refired
+    rule_ids = [ev.rule_id for ev in sim.ledger.fired_log]
+    assert len(rule_ids) == len(set(rule_ids)) <= len(scenario.rules) == 3
 
 
 def test_dialogue_leaves_the_simulation_untouched(golden):

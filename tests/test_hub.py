@@ -20,6 +20,7 @@ from cascade.hub import (
     DirectiveTemplate,
     DomainModuleSpec,
     ParameterExpr,
+    TagIndex,
     broadcast,
     compile_directives,
     expire_directives,
@@ -180,7 +181,7 @@ def _directive(selector: TagSelector, issued_tick=4, ttl=30, d_id="d000001") -> 
 
 def test_broadcast_resolves_selectors_and_sorts_ids():
     roster = [npc("zed", "Merchant"), npc("abe", "Merchant", "Greedy"), npc("gus", "Guard")]
-    records = broadcast([_directive(TagSelector("any", ("Merchant",)))], roster)
+    records = broadcast([_directive(TagSelector("any", ("Merchant",)))], TagIndex(roster))
     assert len(records) == 1
     assert records[0].directive_id == "d000001"
     assert records[0].npc_ids == ("abe", "zed")
@@ -188,13 +189,22 @@ def test_broadcast_resolves_selectors_and_sorts_ids():
 
 def test_broadcast_all_mode_requires_every_tag():
     roster = [npc("abe", "Merchant", "Greedy"), npc("zed", "Merchant")]
-    records = broadcast([_directive(TagSelector("all", ("Merchant", "Greedy")))], roster)
+    records = broadcast([_directive(TagSelector("all", ("Merchant", "Greedy")))], TagIndex(roster))
     assert records[0].npc_ids == ("abe",)
 
 
 def test_broadcast_keeps_empty_deliveries():
-    records = broadcast([_directive(TagSelector("any", ("Leader",)))], [npc("abe", "Merchant")])
+    index = TagIndex([npc("abe", "Merchant")])
+    records = broadcast([_directive(TagSelector("any", ("Leader",)))], index)
     assert records[0].npc_ids == ()
+
+
+def test_tag_index_follows_moves():
+    index = TagIndex([npc("abe", "Merchant", "Greedy"), npc("zed", "Beggar")])
+    index.move("abe", ("Merchant", "Greedy"), ("Beggar", "Greedy"))
+    assert index.select(TagSelector("any", ("Merchant",))) == set()
+    assert index.select(TagSelector("any", ("Beggar",))) == {"abe", "zed"}
+    assert index.select(TagSelector("all", ("Beggar", "Greedy"))) == {"abe"}
 
 
 def test_expire_directives_boundary():

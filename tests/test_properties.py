@@ -30,7 +30,7 @@ from cascade.core import (
     selector_matches,
 )
 from cascade.director import DriftEntry, advance_clock, apply_event, evaluate_rules
-from cascade.hub import broadcast, expire_directives
+from cascade.hub import TagIndex, broadcast, expire_directives
 from cascade.npc import (
     ActionBinding,
     TagMigrationRule,
@@ -109,7 +109,7 @@ def selectors(draw):
 @given(roster=rosters(), sels=st.lists(selectors(), min_size=1, max_size=5))
 def test_broadcast_agrees_with_set_algebra(roster, sels):
     directives = [make_directive(i + 1, sel) for i, sel in enumerate(sels)]
-    records = broadcast(directives, roster)
+    records = broadcast(directives, TagIndex(roster))
     assert [r.directive_id for r in records] == [d.id for d in directives]
     for directive, record in zip(directives, records):
         wanted = set(directive.selector.tags)
@@ -203,42 +203,25 @@ def ledgers_and_rules(draw):
         for i in range(rule_count)
     )
 
-    fired = sorted(
-        draw(st.lists(
-            st.tuples(st.integers(min_value=0, max_value=rule_count - 1),
-                      st.integers(min_value=0, max_value=tick)),
-            max_size=6,
-        )),
-        key=lambda p: p[1],
-    )
+    # Each rule's latest firing, if any: (fired tick, effect durations).
+    latest = {}
+    for rule in rules:
+        if draw(st.booleans()):
+            latest[rule.id] = (
+                draw(st.integers(min_value=0, max_value=tick)),
+                draw(st.lists(st.integers(min_value=1, max_value=6), max_size=3)),
+            )
     fired_log = tuple(
-        MacroEvent(rule_id=f"r{i}", instance_id=f"r{i}@{t}", fired_tick=t) for i, t in fired
+        MacroEvent(rid, f"{rid}@{t}", t, effects=tuple(Effect("x", 0.0, d) for d in durations))
+        for rid, (t, durations) in sorted(latest.items(), key=lambda item: item[1][0])
     )
-    active_ids = {f"r{i}" for i in draw(st.sets(st.integers(min_value=0, max_value=rule_count - 1)))}
-    ledger = WorldLedger(
-        tick=tick,
-        variables=variables,
-        season="Dry",
-        fired_log=fired_log,
-        active_events=tuple(),
-    )
-    return ledger, rules, active_ids
+    ledger = WorldLedger(tick=tick, variables=variables, season="Dry", fired_log=fired_log)
+    return ledger, rules, latest
 
 
 @given(data=ledgers_and_rules())
 def test_rule_evaluation_agrees_with_exhaustive_scan(data):
-    ledger, rules, active_ids = data
-    # Stand in minimal active events for the drawn rule ids.
-    ledger = WorldLedger(
-        tick=ledger.tick,
-        variables=ledger.variables,
-        season=ledger.season,
-        fired_log=ledger.fired_log,
-        active_events=tuple(
-            MacroEvent(rid, f"{rid}@0", 0, effects=(Effect("x", 0.0, 1),)) for rid in sorted(active_ids)
-        ),
-        thresholds=ledger.thresholds,
-    )
+    ledger, rules, latest = data
 
     def level_of(value: float) -> int:
         if value >= ledger.thresholds.critical:
@@ -261,11 +244,12 @@ def test_rule_evaluation_agrees_with_exhaustive_scan(data):
 
     expected = []
     for rule in sorted(rules, key=lambda r: r.id):
-        if not rule.trigger or rule.id in active_ids:
+        if not rule.trigger:
             continue
-        history = [ev.fired_tick for ev in ledger.fired_log if ev.rule_id == rule.id]
-        if history and ledger.tick - max(history) <= rule.cooldown_ticks:
-            continue
+        if rule.id in latest:
+            since = ledger.tick - latest[rule.id][0]
+            if since < max(latest[rule.id][1], default=1) or since <= rule.cooldown_ticks:
+                continue
         if all(holds(p) for p in rule.trigger):
             expected.append((
                 rule.id,
@@ -353,7 +337,7 @@ def test_clock_agrees_with_window_replay(case):
         assert {name: v.intensity for name, v in ledger.variables.items()} == expected
         live = [iid for iid, fired, effects in registered
                 if tick - fired < max((d for _, _, d in effects), default=1)]
-        assert [ae.instance_id for ae in ledger.active_events] == live
+        assert [ev.instance_id for ev in ledger.fired_log if ev.active_at(tick)] == live
 
 
 # --- utility scoring ---------------------------------------------------------

@@ -66,7 +66,6 @@ def test_initial_ledger_seeds_history(golden):
     assert ledger.thresholds == golden.thresholds
     assert ledger.variables["water_scarcity"].intensity == 0.45
     assert ledger.variables["water_scarcity"].history == ((0, 0.45),)
-    assert ledger.active_events == ()
     assert ledger.fired_log == ()
 
 
@@ -522,16 +521,22 @@ def test_tree_must_guarantee_an_action():
     )
 
 
-def test_tree_condition_namespace_checked_at_load():
+@pytest.mark.parametrize("field, error", [
+    ("mood.happy", "field 'mood.happy' must start with needs./state./personality./var."),
+    ("var.nope", "unknown variable 'nope'"),
+    ("var.", "field 'var.' names no key after its namespace"),
+    ("needs.", "field 'needs.' names no key after its namespace"),
+])
+def test_tree_condition_field_checked_at_load(field, error):
     doc = minimal_town()
     doc["behavior_tree"] = {
         "kind": "selector",
         "children": [
-            {"kind": "condition", "field": "mood.happy", "op": ">", "value": 0.5},
+            {"kind": "condition", "field": field, "op": ">", "value": 0.5},
             {"kind": "action", "action_id": "idle"},
         ],
     }
-    assert any("must start with needs./state./personality./var." in e for e in errors_from(doc))
+    assert f"behavior_tree.children[0].field: {error}" in errors_from(doc)
 
 
 def test_tree_unknown_node_kind():
