@@ -30,7 +30,7 @@ def main() -> None:
     conversation = None
     for _ in range(args.ticks):
         sim.step()
-        if conversation is None and any(e.kind == "EventFired" for e in sim.trace.events):
+        if conversation is None and sim.summary.events_fired:
             conversation = sim.request_dialogue("merchant_1", "Why is water so expensive?")
     summary = sim.summary
     print(summary.line())

@@ -184,8 +184,8 @@ def execute_action(
             "npc": npc.id,
             "action": binding.action_id,
             "directive": directive.id if directive is not None else None,
-            "parameters": dict(directive.parameters) if directive is not None else {},
-            "tags": list(npc.tags),
+            "parameters": directive.parameters if directive is not None else {},
+            "tags": npc.tags,
             "state_deltas": deltas,
         },
     )

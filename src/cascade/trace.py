@@ -130,7 +130,7 @@ def _state_deltas(deltas: dict[str, Any]) -> str:
 def _action_executed(event: TraceEvent) -> str:
     p = _fields(event.payload, 6)
     directive, parameters, deltas, tags = p["directive"], p["parameters"], p["state_deltas"], p["tags"]
-    if type(parameters) is not dict or type(deltas) is not dict or type(tags) is not list:
+    if type(parameters) is not dict or type(deltas) is not dict or type(tags) not in (tuple, list):
         raise TypeError("parameters, state_deltas or tags of the wrong type")
     return (
         '{"action":%s,"directive":%s,"kind":"ActionExecuted","npc":%s,"parameters":%s,'
@@ -183,20 +183,44 @@ class TraceWriter:
 
 class TraceCollector:
     """In-memory sink with the TraceWriter interface; used by tests and the
-    benchmark, where counting matters and files would just slow things down."""
+    benchmark, where counting matters and files would just slow things down.
+
+    Each event is kept as two parts in parallel lists: its (tick, phase,
+    kind) envelope as a plain tuple, and its payload dict. A run keeps
+    every event alive until it ends, and the garbage collector walks every
+    object it tracks on each full pass. CPython stops tracking a tuple or a
+    dict that holds no containers, so the envelopes and the flat payloads
+    (`UtilityEvaluated`, `VariableChanged`, `TagMigrated`,
+    `DialogueRequested`) cost those passes nothing, where a `TraceEvent` is
+    always tracked. An `ActionExecuted` payload stays tracked, but it holds
+    the NPC's own tags tuple and the directive's own parameters dict, so it
+    adds no tracked object of its own beyond a non-empty `state_deltas`.
+
+    `events` rebuilds the `TraceEvent`s in emit order as a fresh list on
+    each access; read it once and keep the list rather than index it in a
+    loop. `count` reads the envelopes alone."""
 
     def __init__(self, meta: Optional[dict[str, Any]] = None) -> None:
         self.meta = meta or {}
-        self.events: list[TraceEvent] = []
+        self._envelopes: list[tuple[int, str, str]] = []
+        self._payloads: list[dict[str, Any]] = []
 
     def emit(self, event: TraceEvent) -> None:
-        self.events.append(event)
+        self._envelopes.append((event.tick, event.phase, event.kind))
+        self._payloads.append(event.payload)
 
     def close(self) -> None:
         pass
 
+    @property
+    def events(self) -> list[TraceEvent]:
+        return [
+            TraceEvent(tick, phase, kind, payload)
+            for (tick, phase, kind), payload in zip(self._envelopes, self._payloads)
+        ]
+
     def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return sum(1 for envelope in self._envelopes if envelope[2] == kind)
 
 
 def _reject_non_finite(token: str) -> float:

@@ -230,7 +230,7 @@ def test_migration_runs_in_the_pipeline():
     assert migrated[0].payload == {"npc": "solo", "from": "Villager", "to": "Beggar", "field": "wealth", "value": 1.0}
     assert sim.npcs["solo"].role_tag == "Beggar"
     final_act = [e for e in events_of(sim, "ActionExecuted") if e.tick == 3][0]
-    assert final_act.payload["tags"] == ["Beggar"]
+    assert final_act.payload["tags"] == ("Beggar",)
 
 
 # --- determinism and the dialogue seam ---------------------------------------

@@ -207,7 +207,7 @@ def test_execute_action_applies_local_effects():
     assert event.payload["action"] == "raise_price"
     assert event.payload["directive"] == "d000001"
     assert event.payload["parameters"] == {"price_delta_pct": 30}
-    assert event.payload["tags"] == ["Merchant", "Greedy"]
+    assert event.payload["tags"] == ("Merchant", "Greedy")
     assert event.payload["state_deltas"] == {"wealth": {"before": 20.0, "after": 25.0}}
 
 

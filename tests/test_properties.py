@@ -466,13 +466,25 @@ def action_cases(draw):
     return npc, binding
 
 
-@given(case=action_cases())
-def test_execute_action_never_changes_its_input(case):
+@given(case=action_cases(), parameters=st.dictionaries(st.sampled_from(["price_delta_pct", "ration"]),
+                                                      st.integers(min_value=-50, max_value=50)))
+def test_execute_action_never_changes_its_input(case, parameters):
     npc, binding = case
+    directive = Directive(
+        id="d000001", source_module="market", cause_event="e000001",
+        selector=TagSelector(mode="any", tags=("Villager",)), action_id="act", parameters=parameters,
+        base_priority=0.5, risk=0.1, issued_tick=0, ttl_ticks=3,
+    )
     before = copy.deepcopy(npc)
-    updated, _ = execute_action(npc, binding, tick=1)
+    directive_before = copy.deepcopy(directive)
+    updated, events = execute_action(npc, binding, tick=1, directive=directive)
     assert npc == before
+    assert directive == directive_before
     assert (updated is npc) == (not binding.local_effects and not binding.satisfies_needs)
+    # The trace line shares the profile's tags and the directive's
+    # parameters rather than copying them; neither is ever mutated.
+    assert events[0].payload["tags"] is npc.tags
+    assert events[0].payload["parameters"] is directive.parameters
 
 
 # --- migration hysteresis ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 
@@ -9,6 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MARKET_PATH
+
+from cascade.engine import Simulation
+from cascade.scenario import load_scenario
 from cascade.trace import (
     CostReport,
     DEFAULT_TOKENS_PER_CALL,
@@ -176,6 +181,51 @@ def test_collector_counts_by_kind():
     assert collector.count("ActionExecuted") == 2
     assert collector.count("DialogueRequested") == 1
     assert collector.count("EventFired") == 0
+
+
+def test_collector_events_rebuild_in_emit_order():
+    collector = TraceCollector(META)
+    emitted = [
+        TraceEvent(1, "Score", "UtilityEvaluated", {"npc": "a", "total": 0.5}),
+        TraceEvent(1, "Act", "ActionExecuted", {"npc": "a"}),
+        TraceEvent(2, "Clock", "VariableChanged", {"variable": "v", "intensity": 0.1}),
+    ]
+    for event in emitted:
+        collector.emit(event)
+    assert collector.events == emitted
+    assert collector.events is not collector.events  # a fresh list on each access
+
+
+def _tracked_objects_held(collector: TraceCollector) -> int:
+    """Distinct objects the garbage collector tracks, reachable from the
+    collector's own fields through lists, tuples, dicts and TraceEvents."""
+    seen: set[int] = set()
+    tracked = 0
+    stack = list(vars(collector).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        if isinstance(obj, (list, tuple, dict, TraceEvent)):
+            stack.extend(ref for ref in gc.get_referents(obj) if not isinstance(ref, type))
+    return tracked
+
+
+def test_collected_trace_stays_out_of_full_collections():
+    # Every tracked object a run keeps is walked by each full collection.
+    # Envelopes and flat payloads must be untracked, and an ActionExecuted
+    # payload may add only itself and a non-empty state_deltas map: the tags
+    # and parameters it holds belong to the profile and the directive.
+    sim = Simulation(load_scenario(MARKET_PATH.read_text(encoding="utf-8")), seed=7, npc_count=1000)
+    for _ in range(30):
+        sim.step()
+    gc.collect()
+    acts = [e.payload for e in sim.trace.events if e.kind == "ActionExecuted"]
+    with_deltas = sum(1 for payload in acts if payload["state_deltas"])
+    assert len(acts) == 30_000 and with_deltas > 0
+    assert _tracked_objects_held(sim.trace) <= len(acts) + with_deltas + 200
 
 
 def test_round_trip_through_writer_and_reader():
