@@ -76,13 +76,13 @@ def score_directive(
     traits count as 0; the trait term clamps to [-1, 1] and the need term
     to [0, 1]."""
     base_term = directive.base_priority
-    # Plain left-to-right sums from the int 0, as `sum` adds them: an action
-    # without traits keeps the int 0 that the trace has always carried.
-    trait_sum = 0
+    # Plain left-to-right sums from 0.0, so an action without traits or
+    # needs still writes its term as a float.
+    trait_sum = 0.0
     personality = npc.personality
     for trait, sign in binding.trait_terms:
         trait_sum += sign * personality.get(trait, 0.0)
-    need_sum = 0
+    need_sum = 0.0
     needs = npc.needs
     for need, relief in binding.need_terms:
         need_sum += relief * needs.get(need, 0.0)

@@ -73,13 +73,13 @@ NOISY_FULL_DIGESTS = {
 MARKET_TICKS = 120
 
 MARKET_DIGESTS = {
-    (7, 10): "f532b218b16aecdb97424c1610499018d7d910df28ea99d59fb4d5882340b53f",
-    (7, 1000): "b62cce7de54b0c2840080ced59414dd11bc2cc67086dbfbbc561bf6a98046298",
-    (11, 10): "70e9b8e0c2e271aa612429bc432d9a14eca8efb905ba2b68254979691cab08de",
-    (11, 1000): "544399d6f78621759b955d909b0a56871562bc64cce3003646d6c46e0c9ff8fd",
+    (7, 10): "6ca77e144bf137652d077e4fdde8966f9c24575a4854533e52aaa035c47f5539",
+    (7, 1000): "6347e7359bcaf71812d078f742f4fe2d5cb95b9f3ab1ddce42a6b598d1edc64b",
+    (11, 10): "31631092baa53467f392c574466684b17e0a34180c562afafc904002372dadc4",
+    (11, 1000): "154a88afc75787b0e02c8eccdb3eb6c2ed33996ba3e593ecc595aff4d350bdbf",
 }
 
-MARKET_DIALOGUE_DIGEST = "ba0b29cbd20940d09f228bc17389aaf07e46a7ab2b1581ca18453ce64be5c0aa"
+MARKET_DIALOGUE_DIGEST = "65de6572c2165d015e412a44f7549315c9951e1654cd364433de3d87faa53f3d"
 
 # tick -> (npc, player utterance), asked right after that tick. The
 # utterances carry quotes, a backslash, a control character and non-ASCII

@@ -34,7 +34,7 @@ REPLACEMENTS = (None, True, "x", "Critical", -1, 0, 2, 0.5, 1e300, [], {}, ["x"]
 
 DOCUMENTS = 4610
 LOADED = 499
-OUTCOMES_DIGEST = "6f43e89b17c003f4ba22567934937c5110fb41f18da2f7ea98de658365dbcbc7"
+OUTCOMES_DIGEST = "58415dd26f84d9aa108b3eefb1c382083af491ce8e80c4abe10d67d4d4baf4d9"
 
 
 def _nodes(node: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:
