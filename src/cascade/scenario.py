@@ -242,7 +242,15 @@ def _parse_selector(obj: Any, path: str, errors: _Errors) -> Optional[TagSelecto
     return TagSelector(mode=mode, tags=tuple(tags))
 
 
-def _parse_tree(obj: Any, path: str, variable_names: set[str], errors: _Errors) -> Optional[BTNode]:
+# What a tree condition's namespace reads, for the error that names an
+# undeclared key.
+_TREE_KEY_NOUNS = {"needs": "need", "state": "state key", "personality": "trait", "var": "variable"}
+
+
+def _parse_tree(obj: Any, path: str, declared: dict[str, set[str]], errors: _Errors) -> Optional[BTNode]:
+    """A behavior tree node. `declared` maps each condition namespace to
+    the keys something in the scenario declares; a condition on any other
+    key would read 0.0 forever, so it fails here."""
     if not isinstance(obj, dict) or "kind" not in obj:
         errors.add(path, "expected a node object with a 'kind' field")
         return None
@@ -253,7 +261,7 @@ def _parse_tree(obj: Any, path: str, variable_names: set[str], errors: _Errors) 
         children = _items(obj.get("children"), f"{path}.children", errors, "non-empty list required")
         if children is None:
             return None
-        parsed = [_parse_tree(child, cpath, variable_names, errors) for cpath, child in children]
+        parsed = [_parse_tree(child, cpath, declared, errors) for cpath, child in children]
         if any(p is None for p in parsed):
             return None
         return Selector(tuple(parsed)) if kind == "selector" else Sequence(tuple(parsed))
@@ -269,15 +277,15 @@ def _parse_tree(obj: Any, path: str, variable_names: set[str], errors: _Errors) 
         if fld is None or op is None or value is None:
             return None
         namespace, _, key = fld.partition(".")
-        if namespace not in ("needs", "state", "personality", "var"):
+        if namespace not in declared:
             errors.add(f"{path}.field", f"field {fld!r} must start with needs./state./personality./var.")
             return None
         if not key:
             errors.add(f"{path}.field", f"field {fld!r} names no key after its namespace")
             return None
-        if namespace == "var" and key not in variable_names:
-            errors.add(f"{path}.field", f"unknown variable {key!r}")
-            return None
+        if key not in declared[namespace]:
+            # Reported, but the node stays, so the whole-tree checks still run.
+            errors.add(f"{path}.field", f"unknown {_TREE_KEY_NOUNS[namespace]} {key!r}")
         return Condition(field=fld, op=op, value=value)
     if kind == "action":
         if not _check_obj(obj, path, ("kind", "action_id"), (), errors):
@@ -733,7 +741,15 @@ def load_scenario(text: str) -> Scenario:
 
     tree: Optional[BTNode] = None
     if "behavior_tree" in raw:
-        tree = _parse_tree(raw["behavior_tree"], "behavior_tree", variable_names, errors)
+        bindings = catalog.values()
+        declared = {
+            "needs": {k for n in npcs for k in n.needs} | {k for b in bindings for k in b.satisfies_needs},
+            "state": {k for n in npcs for k in n.local_state} | {k for b in bindings for k in b.local_effects},
+            "personality": ({k for n in npcs for k in n.personality}
+                            | {k for b in bindings for k in b.trait_affinities}),
+            "var": variable_names,
+        }
+        tree = _parse_tree(raw["behavior_tree"], "behavior_tree", declared, errors)
     elif catalog:
         default_id = next((a for a, b in sorted(catalog.items()) if b.default), None)
         if default_id is not None:

@@ -120,6 +120,25 @@ def test_run_rejects_a_tree_condition_on_an_unknown_variable(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_run_rejects_a_tree_condition_on_an_undeclared_need(tmp_path, capsys):
+    doc = minimal_town()
+    doc["npcs"][0]["needs"] = {"hunger": 0.9}
+    doc["behavior_tree"] = {
+        "kind": "selector",
+        "children": [
+            {"kind": "condition", "field": "needs.hungr", "op": ">", "value": 0.5},
+            {"kind": "action", "action_id": "idle"},
+        ],
+    }
+    scenario = tmp_path / "misspelt_need.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    code = run_cli("run", "--scenario", str(scenario), "--ticks", "3", "--trace", str(trace))
+    assert code == EXIT_INPUT
+    assert "behavior_tree.children[0].field: unknown need 'hungr'" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_run_unwritable_trace_path(golden_file, tmp_path, capsys):
     code = run_cli("run", "--scenario", golden_file, "--ticks", "1", "--trace", str(tmp_path / "absent" / "t.jsonl"))
     assert code == EXIT_INVARIANT

@@ -539,6 +539,55 @@ def test_tree_condition_field_checked_at_load(field, error):
     assert f"behavior_tree.children[0].field: {error}" in errors_from(doc)
 
 
+def _town_declaring_keys() -> dict:
+    """The minimal town whose NPC and catalog each declare one key of
+    every NPC namespace; the trait `greed` comes from a disposition tag."""
+    doc = minimal_town()
+    doc["disposition_table"] = {"Greedy": {"greed": 0.5}}
+    doc["npcs"][0]["tags"].append("Greedy")
+    doc["npcs"][0]["needs"] = {"hunger": 0.9}
+    doc["action_catalog"].append({
+        "action_id": "eat",
+        "satisfies_needs": {"thirst": 0.5},
+        "local_effects": {"grain": -1},
+        "trait_affinities": {"charity": 1},
+    })
+    return doc
+
+
+def _tree_on(doc: dict, field: str) -> dict:
+    doc["behavior_tree"] = {
+        "kind": "selector",
+        "children": [
+            {"kind": "sequence", "children": [
+                {"kind": "condition", "field": field, "op": ">", "value": 0.5},
+                {"kind": "action", "action_id": "eat"},
+            ]},
+            {"kind": "action", "action_id": "idle"},
+        ],
+    }
+    return doc
+
+
+@pytest.mark.parametrize("field", [
+    "needs.hunger", "needs.thirst", "state.wealth", "state.grain", "personality.greed", "personality.charity",
+])
+def test_tree_condition_on_a_declared_key_loads(field):
+    load_town(_tree_on(_town_declaring_keys(), field))
+
+
+@pytest.mark.parametrize("field, error", [
+    ("needs.hungr", "unknown need 'hungr'"),
+    ("state.welth", "unknown state key 'welth'"),
+    ("personality.gred", "unknown trait 'gred'"),
+])
+def test_tree_condition_on_an_undeclared_key_fails_at_load(field, error):
+    # Before, such a condition loaded and read 0.0 on every tick.
+    assert errors_from(_tree_on(_town_declaring_keys(), field)) == [
+        f"behavior_tree.children[0].children[0].field: {error}"
+    ]
+
+
 def test_tree_unknown_node_kind():
     doc = minimal_town()
     doc["behavior_tree"] = {"kind": "parallel", "children": []}
