@@ -193,8 +193,9 @@ class TraceCollector:
     (`UtilityEvaluated`, `VariableChanged`, `TagMigrated`,
     `DialogueRequested`) cost those passes nothing, where a `TraceEvent` is
     always tracked. An `ActionExecuted` payload stays tracked, but it holds
-    the NPC's own tags tuple and the directive's own parameters dict, so it
-    adds no tracked object of its own beyond a non-empty `state_deltas`.
+    the NPC's own tags tuple and the directive's own parameters dict rather
+    than copies, so the only other tracked object it adds is a non-empty
+    `state_deltas`.
 
     `events` rebuilds the `TraceEvent`s in emit order as a fresh list on
     each access; read it once and keep the list rather than index it in a
