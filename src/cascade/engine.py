@@ -307,4 +307,4 @@ class Simulation:
     # -- helpers -------------------------------------------------------------
 
     def _emit(self, tick: int, phase: str, kind: str, payload: dict[str, Any]) -> None:
-        self.trace.emit(TraceEvent(tick=tick, phase=phase, kind=kind, payload=payload))
+        self.trace.emit(TraceEvent(tick, phase, kind, payload))

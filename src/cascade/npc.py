@@ -11,7 +11,7 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .behavior import BTNode, evaluate
 from .core import COMPARE, Directive, InvariantViolation, NpcProfile, WorldLedger, clamp
@@ -27,8 +27,7 @@ class UtilityWeights:
     threshold: float = 0.5  # accept iff total >= threshold
 
 
-@dataclass(frozen=True, slots=True)
-class UtilityBreakdown:
+class UtilityBreakdown(NamedTuple):
     """Full audit record of one accept/reject decision. `total` is exactly
     w.base*base + w.trait*trait + w.need*need - w.risk*risk, evaluated in
     that order, so it can be recomputed bit-for-bit from the terms."""
@@ -86,8 +85,9 @@ def score_directive(
     needs = npc.needs
     for need, relief in binding.need_terms:
         need_sum += relief * needs.get(need, 0.0)
-    trait_term = clamp(trait_sum, -1.0, 1.0)
-    need_term = clamp(need_sum, 0.0, 1.0)
+    # core.clamp inlined: the same expression, so the same bits.
+    trait_term = max(-1.0, min(1.0, trait_sum))
+    need_term = max(0.0, min(1.0, need_sum))
     risk_term = directive.risk
     total = (
         weights.base * base_term
@@ -95,23 +95,16 @@ def score_directive(
         + weights.need * need_term
         - weights.risk * risk_term
     )
+    threshold = weights.threshold
     return UtilityBreakdown(
-        npc_id=npc.id,
-        directive_id=directive.id,
-        base_term=base_term,
-        trait_term=trait_term,
-        need_term=need_term,
-        risk_term=risk_term,
-        total=total,
-        threshold=weights.threshold,
-        accepted=total >= weights.threshold,
+        npc.id, directive.id, base_term, trait_term, need_term, risk_term, total, threshold, total >= threshold
     )
 
 
 def best_breakdown(accepted: list[UtilityBreakdown]) -> Optional[UtilityBreakdown]:
     """Highest total wins; ties go to the smaller directive id."""
-    if not accepted:
-        return None
+    if len(accepted) < 2:
+        return accepted[0] if accepted else None
     return min(accepted, key=lambda b: (-b.total, b.directive_id))
 
 
@@ -176,19 +169,14 @@ def execute_action(
             local_state=local_state,
             last_migration=npc.last_migration,
         )
-    event = TraceEvent(
-        tick=tick,
-        phase="Act",
-        kind="ActionExecuted",
-        payload={
-            "npc": npc.id,
-            "action": binding.action_id,
-            "directive": directive.id if directive is not None else None,
-            "parameters": directive.parameters if directive is not None else {},
-            "tags": npc.tags,
-            "state_deltas": deltas,
-        },
-    )
+    event = TraceEvent(tick, "Act", "ActionExecuted", {
+        "npc": npc.id,
+        "action": binding.action_id,
+        "directive": directive.id if directive is not None else None,
+        "parameters": directive.parameters if directive is not None else {},
+        "tags": npc.tags,
+        "state_deltas": deltas,
+    })
     return updated, [event]
 
 
@@ -246,18 +234,13 @@ def migrate_tags(
             role_tag=rule.to_tag,
             last_migration=(rule.from_tag, rule.to_tag),
         )
-        event = TraceEvent(
-            tick=tick,
-            phase="Migrate",
-            kind="TagMigrated",
-            payload={
-                "npc": npc.id,
-                "from": rule.from_tag,
-                "to": rule.to_tag,
-                "field": rule.field,
-                "value": value,
-            },
-        )
+        event = TraceEvent(tick, "Migrate", "TagMigrated", {
+            "npc": npc.id,
+            "from": rule.from_tag,
+            "to": rule.to_tag,
+            "field": rule.field,
+            "value": value,
+        })
         return updated, [event]
     return npc, []
 
@@ -265,8 +248,7 @@ def migrate_tags(
 # --- dialogue ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NpcSnapshot:
+class NpcSnapshot(NamedTuple):
     """Read-only view handed to dialogue providers: identity plus grounding
     facts, nothing mutable."""
 
@@ -318,23 +300,11 @@ def request_dialogue(
     """On-demand dialogue outside the tick pipeline. Exactly one counted
     provider call per request, even when the provider fails; the reply (or
     error text) comes back with its DialogueRequested trace event."""
-    snapshot = NpcSnapshot(
-        npc_id=npc.id,
-        role_tag=npc.role_tag,
-        tags=npc.tags,
-        last_action=last_action,
-        active_events=active_events,
-        active_actions=active_actions,
-    )
+    snapshot = NpcSnapshot(npc.id, npc.role_tag, npc.tags, last_action, active_events, active_actions)
     counter.increment()
     try:
         text = provider.generate(snapshot, player_utterance)
     except Exception as exc:  # provider faults must not poison the run
         text = f"[dialogue-error] {npc.id}: {exc}"
-    event = TraceEvent(
-        tick=tick,
-        phase="Dialogue",
-        kind="DialogueRequested",
-        payload={"npc": npc.id, "utterance": player_utterance, "response": text},
-    )
-    return text, event
+    payload = {"npc": npc.id, "utterance": player_utterance, "response": text}
+    return text, TraceEvent(tick, "Dialogue", "DialogueRequested", payload)

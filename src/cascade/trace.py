@@ -9,8 +9,8 @@ the phase enum below fixes the within-tick order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, IO, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, IO, Iterable, NamedTuple, Optional
 
 PHASES = (
     "Clock",
@@ -40,12 +40,15 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace line: the (tick, phase, kind) envelope and the payload
+    keys written beside it. An immutable named tuple, so building one on
+    the hot path is a single tuple allocation."""
+
     tick: int
     phase: str
     kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def to_line_dict(self) -> dict[str, Any]:
         out = {"tick": self.tick, "phase": self.phase, "kind": self.kind}
@@ -207,7 +210,7 @@ class TraceCollector:
         self._payloads: list[dict[str, Any]] = []
 
     def emit(self, event: TraceEvent) -> None:
-        self._envelopes.append((event.tick, event.phase, event.kind))
+        self._envelopes.append(event[:3])  # a slice of a named tuple is a plain tuple
         self._payloads.append(event.payload)
 
     def close(self) -> None:
@@ -271,7 +274,7 @@ def read_trace(lines: Iterable[str]) -> tuple[dict[str, Any], list[TraceEvent]]:
         if kind not in KINDS:
             raise TraceError(line_no, f"unknown kind {kind!r}")
         payload = {k: v for k, v in obj.items() if k not in ("tick", "phase", "kind")}
-        events.append(TraceEvent(tick=tick, phase=phase, kind=kind, payload=payload))
+        events.append(TraceEvent(tick, phase, kind, payload))
     if meta is None:
         raise TraceError(1, "empty trace: missing run metadata line")
     return meta, events

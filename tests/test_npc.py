@@ -30,6 +30,7 @@ from cascade.npc import (
     score_directive,
     select_action,
 )
+from cascade.trace import TraceEvent
 
 LEDGER = WorldLedger(tick=4, variables={"x": CausalVariable("x", 0.5)}, season="Dry")
 WEIGHTS = UtilityWeights()
@@ -421,3 +422,38 @@ def test_template_provider_is_deterministic():
     snapshot = NpcSnapshot("solo", "Villager", ("Villager",), None, (), ())
     assert provider.generate(snapshot, "x") == provider.generate(snapshot, "x")
     assert provider.generate(snapshot, "x") == "[solo|idle] Quiet times in town; nothing troubles a Villager."
+
+
+# --- per-NPC records -----------------------------------------------------------
+
+
+RECORDS = [
+    (TraceEvent, ("tick", "phase", "kind", "payload"), (3, "Act", "ActionExecuted", {"npc": "solo"})),
+    (
+        UtilityBreakdown,
+        ("npc_id", "directive_id", "base_term", "trait_term", "need_term", "risk_term", "total", "threshold",
+         "accepted"),
+        ("solo", "d000001", 0.5, 0.1, 0.2, 0.0, 0.8, 0.5, True),
+    ),
+    (
+        NpcSnapshot,
+        ("npc_id", "role_tag", "tags", "last_action", "active_events", "active_actions"),
+        ("solo", "Villager", ("Villager",), None, ("severe_drought",), ()),
+    ),
+]
+
+
+@pytest.mark.parametrize("record_type, names, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_and_build_the_same_either_way(record_type, names, values):
+    positional = record_type(*values)
+    keyword = record_type(**dict(zip(names, values)))
+    assert keyword == positional
+    assert [getattr(positional, name) for name in names] == list(values)
+    for name in (*names, "unknown_field"):
+        with pytest.raises(AttributeError):
+            setattr(positional, name, None)
+
+
+def test_trace_event_needs_a_payload():
+    with pytest.raises(TypeError):
+        TraceEvent(3, "Act", "ActionExecuted")

@@ -6,6 +6,7 @@ twice."""
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import MARKET_PATH
 
+from cascade.behavior import ActionLeaf
 from cascade.core import (
     CausalVariable,
     CriticVerdict,
@@ -40,6 +42,7 @@ from cascade.npc import (
     execute_action,
     migrate_tags,
     score_directive,
+    select_action,
 )
 from cascade.engine import Simulation, replicate_roster
 from cascade.scenario import load_scenario_file
@@ -438,6 +441,31 @@ def test_best_breakdown_agrees_with_brute_argmax(accepted):
         elif b.total == winner.total and b.directive_id < winner.directive_id:
             winner = b
     assert best_breakdown(accepted) is winner
+
+
+@st.composite
+def tied_breakdown_lists(draw):
+    """0-6 breakdowns whose totals and directive ids repeat, with both
+    signs of zero among the totals."""
+    totals = st.sampled_from([0.0, -0.0, 0.5, 0.5, 1.0, -1.0])
+    ids = st.sampled_from(["d000001", "d000002", "d000003"])
+    return [
+        UtilityBreakdown("subject", draw(ids), 0.0, 0.0, 0.0, 0.0, draw(totals), 0.0, True)
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+
+
+@given(accepted=tied_breakdown_lists())
+def test_best_breakdown_and_select_action_agree_with_sorting(accepted):
+    ranked = sorted(accepted, key=lambda b: (-b.total, b.directive_id))
+    winner = ranked[0] if ranked else None
+    assert best_breakdown(accepted) is winner
+    everyone = TagSelector("any", ("Villager",))
+    directives = {f"d{i:06d}": replace(make_directive(i, everyone), action_id=f"act_{i}") for i in (1, 2, 3)}
+    npc = NpcProfile(id="subject", tags=("Villager",), role_tag="Villager")
+    ledger = WorldLedger(tick=1, variables={}, season="Dry")
+    action = select_action(npc, accepted, ActionLeaf("fallback"), ledger, directives)
+    assert action == (directives[winner.directive_id].action_id if winner is not None else "fallback")
 
 
 # --- action execution --------------------------------------------------------
