@@ -235,6 +235,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "ticks", None) is not None and args.ticks < 0:
         return _fail("--ticks must be >= 0", EXIT_INPUT)
+    if args.command == "run" and args.npcs is not None and args.npcs < 1:
+        return _fail("--npcs must be >= 1", EXIT_INPUT)
     if getattr(args, "tokens_per_call", None) is not None and args.tokens_per_call < 0:
         return _fail("--tokens-per-call must be >= 0", EXIT_INPUT)
     return args.func(args)

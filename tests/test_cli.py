@@ -81,6 +81,16 @@ def test_run_rejects_negative_ticks(golden_file, tmp_path, capsys):
     assert "--ticks must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("npcs", ["0", "-3"])
+def test_run_rejects_npcs_below_one_before_opening_the_trace(npcs, golden_file, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(b"an earlier trace\n")
+    code = run_cli("run", "--scenario", golden_file, "--ticks", "1", "--trace", str(trace), "--npcs", npcs)
+    assert code == EXIT_INPUT
+    assert "--npcs" in capsys.readouterr().err
+    assert trace.read_bytes() == b"an earlier trace\n"
+
+
 def test_run_rejects_oversized_seed(golden_file, tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", golden_file, "--ticks", "1",
