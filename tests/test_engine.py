@@ -167,7 +167,7 @@ def test_golden_summary_counts(golden):
 
 
 def test_rejected_events_never_enter_the_ledger(golden_path):
-    doc = json.loads(open(golden_path, encoding="utf-8").read())
+    doc = json.loads(golden_path.read_text(encoding="utf-8"))
     doc["ledger_init"]["season"] = "Rainy"
     sim = Simulation(load_town(doc), seed=7)
     summary = sim.run(30)
