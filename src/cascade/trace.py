@@ -210,7 +210,7 @@ class TraceCollector:
         self._payloads: list[dict[str, Any]] = []
 
     def emit(self, event: TraceEvent) -> None:
-        self._envelopes.append(event[:3])  # a slice of a named tuple is a plain tuple
+        self._envelopes.append((event.tick, event.phase, event.kind))
         self._payloads.append(event.payload)
 
     def close(self) -> None:
