@@ -224,6 +224,12 @@ class Directive:
     risk: float  # in [0, 1]
     issued_tick: int
     ttl_ticks: int  # >= 1
+    # `parameters` as key-sorted pairs, the form every ActionExecuted line
+    # records; computed once here rather than on every action.
+    parameter_items: tuple[tuple[str, Scalar], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parameter_items", tuple(sorted(self.parameters.items())))
 
 
 def directive_to_packet(d: Directive) -> dict[str, Any]:

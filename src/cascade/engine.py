@@ -214,6 +214,7 @@ class Simulation:
             for npc_id in self._tag_index.select(directive.selector):
                 reached.setdefault(npc_id, []).append(directive)
         accepted_by_npc: dict[str, list[UtilityBreakdown]] = {}
+        trace = self.trace
         for npc_id in self._order:
             directives = reached.get(npc_id)
             if directives is None:
@@ -222,18 +223,7 @@ class Simulation:
             for directive in directives:
                 binding = self.scenario.catalog[directive.action_id]
                 breakdown = score_directive(npc, directive, binding, self.scenario.weights)
-                self._emit(tick, "Score", "UtilityEvaluated", {
-                    "npc": npc_id,
-                    "directive": directive.id,
-                    "action": directive.action_id,
-                    "base_term": breakdown.base_term,
-                    "trait_term": breakdown.trait_term,
-                    "need_term": breakdown.need_term,
-                    "risk_term": breakdown.risk_term,
-                    "total": breakdown.total,
-                    "threshold": breakdown.threshold,
-                    "accepted": breakdown.accepted,
-                })
+                trace.utility(tick, breakdown, directive.action_id)
                 if breakdown.accepted:
                     accepted_by_npc.setdefault(npc_id, []).append(breakdown)
 
@@ -243,13 +233,15 @@ class Simulation:
             accepted = accepted_by_npc.get(npc_id, [])
             action_id = select_action(npc, accepted, self.scenario.tree, self.ledger, self.directive_index)
             best = best_breakdown(accepted)
-            directive = self.directive_index[best.directive_id] if best is not None else None
-            updated, events = execute_action(npc, self.scenario.catalog[action_id], tick, directive)
+            updated, deltas = execute_action(npc, self.scenario.catalog[action_id])
+            if best is None:
+                trace.action(tick, npc_id, action_id, None, (), npc.tags, deltas)
+            else:
+                directive = self.directive_index[best.directive_id]
+                trace.action(tick, npc_id, action_id, directive.id, directive.parameter_items, npc.tags, deltas)
             self.npcs[npc_id] = updated
             self.last_action[npc_id] = action_id
             self.summary.actions_executed += 1
-            for event in events:
-                self.trace.emit(event)
 
         # Migrate: role FSM, at most one hop per NPC per tick.
         for npc_id in self._order:

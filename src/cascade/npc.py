@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Protocol
 
 from .behavior import BTNode, evaluate
 from .core import COMPARE, Directive, InvariantViolation, NpcProfile, WorldLedger, clamp
-from .trace import TraceEvent
+from .trace import Deltas, TraceEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,19 +128,15 @@ def select_action(
     return action_id
 
 
-def execute_action(
-    npc: NpcProfile,
-    binding: ActionBinding,
-    tick: int,
-    directive: Optional[Directive] = None,
-) -> tuple[NpcProfile, list[TraceEvent]]:
+def execute_action(npc: NpcProfile, binding: ActionBinding) -> tuple[NpcProfile, Deltas]:
     """Apply the action's local effects (wealth never drops below 0) and
-    need relief, and record the act with before/after state deltas.
+    need relief; also return the (key, before, after) state deltas, one
+    per local state key that changed, in key order.
 
     The input profile is never changed. An action with neither effects nor
     relief returns it as it is; otherwise a new profile gets fresh copies
     of the maps the action touches and shares the rest."""
-    deltas: dict[str, dict[str, float]] = {}
+    deltas: Deltas = ()
     updated = npc
     if binding.effect_terms or binding.need_terms:
         local_state = npc.local_state
@@ -153,7 +149,7 @@ def execute_action(
                     after = max(0.0, after)
                 local_state[key] = after
                 if after != before:
-                    deltas[key] = {"before": before, "after": after}
+                    deltas += ((key, before, after),)
         needs = npc.needs
         if binding.need_terms:
             needs = dict(needs)
@@ -169,15 +165,7 @@ def execute_action(
             local_state=local_state,
             last_migration=npc.last_migration,
         )
-    event = TraceEvent(tick, "Act", "ActionExecuted", {
-        "npc": npc.id,
-        "action": binding.action_id,
-        "directive": directive.id if directive is not None else None,
-        "parameters": directive.parameters if directive is not None else {},
-        "tags": npc.tags,
-        "state_deltas": deltas,
-    })
-    return updated, [event]
+    return updated, deltas
 
 
 # --- tag migration -----------------------------------------------------------

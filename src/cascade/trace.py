@@ -9,8 +9,9 @@ the phase enum below fixes the within-tick order.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Any, IO, Iterable, NamedTuple, Optional
+from typing import Any, IO, Iterable, Iterator, NamedTuple, Optional
 
 PHASES = (
     "Clock",
@@ -170,6 +171,29 @@ def encode_event(event: TraceEvent) -> str:
     return _dump(event.to_line_dict())
 
 
+# The two per-NPC kinds reach a sink as parts, not as events:
+# `utility(tick, breakdown, action_id)` with an npc.UtilityBreakdown, whose
+# payload keys follow, and `action(tick, npc_id, action_id, directive_id,
+# parameter_items, tags, deltas)` with key-sorted pairs and deltas.
+Deltas = tuple[tuple[str, float, float], ...]  # (key, before, after)
+_UTILITY_KEYS = ("action", "npc", "directive", "base_term", "trait_term", "need_term", "risk_term",
+                 "total", "threshold", "accepted")
+
+
+def _utility_event(tick: int, *fields: Any) -> TraceEvent:
+    return TraceEvent(tick, "Score", "UtilityEvaluated", dict(zip(_UTILITY_KEYS, fields)))
+
+
+def _action_event(tick: int, npc_id: str, action_id: str, directive_id: Optional[str],
+                  parameter_items: tuple[tuple[str, Any], ...], tags: tuple[str, ...],
+                  deltas: Deltas) -> TraceEvent:
+    return TraceEvent(tick, "Act", "ActionExecuted", {
+        "npc": npc_id, "action": action_id, "directive": directive_id,
+        "parameters": dict(parameter_items), "tags": tags,
+        "state_deltas": {key: {"before": before, "after": after} for key, before, after in deltas},
+    })
+
+
 class TraceWriter:
     """Streams events to a text sink as JSON lines, metadata first."""
 
@@ -180,51 +204,95 @@ class TraceWriter:
     def emit(self, event: TraceEvent) -> None:
         self._sink.write(encode_event(event) + "\n")
 
+    def utility(self, tick: int, breakdown: tuple, action_id: str) -> None:
+        self._sink.write(encode_event(_utility_event(tick, action_id, *breakdown)) + "\n")
+
+    def action(self, *row: Any) -> None:
+        self._sink.write(encode_event(_action_event(*row)) + "\n")
+
     def close(self) -> None:
         self._sink.flush()
+
+
+# Rows per sealed chunk of a TraceCollector.
+CHUNK_ROWS = 4096
+
+
+class CollectedEvents:
+    """The events of a TraceCollector in emit order, as a read-only view.
+    Iterating rebuilds each TraceEvent, payload dict included, one at a
+    time, so reading a run's trace never holds a second copy of it."""
+
+    def __init__(self, collector: "TraceCollector") -> None:
+        self._collector = collector
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        collector = self._collector
+        payloads = iter(collector._payloads)
+        for chunk in (*collector._chunks, collector._rows):
+            for row in chunk:
+                # A row's length tells its layout (see TraceCollector).
+                if len(row) == 3:
+                    yield TraceEvent(*row, next(payloads))
+                elif len(row) == 11:
+                    yield _utility_event(*row)
+                else:
+                    yield _action_event(*row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._collector._chunks)) + len(self._collector._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (CollectedEvents, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class TraceCollector:
     """In-memory sink with the TraceWriter interface; used by tests and the
     benchmark, where counting matters and files would just slow things down.
 
-    Each event is kept as two parts in parallel lists: its (tick, phase,
-    kind) envelope as a plain tuple, and its payload dict. A run keeps
-    every event alive until it ends, and the garbage collector walks every
-    object it tracks on each full pass. CPython stops tracking a tuple or a
-    dict that holds no containers, so the envelopes and the flat payloads
-    (`UtilityEvaluated`, `VariableChanged`, `TagMigrated`,
-    `DialogueRequested`) cost those passes nothing, where a `TraceEvent` is
-    always tracked. An `ActionExecuted` payload stays tracked, but it holds
-    the NPC's own tags tuple and the directive's own parameters dict rather
-    than copies, so the only other tracked object it adds is a non-empty
-    `state_deltas`.
-
-    `events` rebuilds the `TraceEvent`s in emit order as a fresh list on
-    each access; read it once and keep the list rather than index it in a
-    loop. `count` reads the envelopes alone."""
+    Each event is one row, an exact tuple of strings, numbers, None and
+    exact tuples: the arguments of `utility` (11 items) or of `action` (7),
+    or the (tick, phase, kind) of an emitted event (3), whose payload goes
+    to a side list in the same order. Every CHUNK_ROWS rows are sealed into
+    a tuple. CPython stops tracking an exact tuple once nothing it holds is
+    tracked, so after a full collection the garbage collector walks only
+    the three lists and the few rare-kind payloads that hold containers,
+    however long the run. Only `action` seals: every NPC acts every tick.
+    `events` is a lazy view that rebuilds the TraceEvents in emit order."""
 
     def __init__(self, meta: Optional[dict[str, Any]] = None) -> None:
         self.meta = meta or {}
-        self._envelopes: list[tuple[int, str, str]] = []
+        self._chunks: list[tuple[tuple, ...]] = []
+        self._rows: list[tuple] = []
         self._payloads: list[dict[str, Any]] = []
 
     def emit(self, event: TraceEvent) -> None:
-        self._envelopes.append((event.tick, event.phase, event.kind))
+        self._rows.append(event[:3])  # a slice of a named tuple is an exact tuple
         self._payloads.append(event.payload)
+
+    def utility(self, tick: int, breakdown: tuple, action_id: str) -> None:
+        self._rows.append((tick, action_id) + breakdown)
+
+    def action(self, *row: Any) -> None:
+        rows = self._rows
+        rows.append(row)  # the arguments, as an exact tuple already
+        if len(rows) >= CHUNK_ROWS:
+            self._chunks.append(tuple(rows))
+            self._rows = []
 
     def close(self) -> None:
         pass
 
     @property
-    def events(self) -> list[TraceEvent]:
-        return [
-            TraceEvent(tick, phase, kind, payload)
-            for (tick, phase, kind), payload in zip(self._envelopes, self._payloads)
-        ]
+    def events(self) -> CollectedEvents:
+        return CollectedEvents(self)
 
     def count(self, kind: str) -> int:
-        return sum(1 for envelope in self._envelopes if envelope[2] == kind)
+        width = {"UtilityEvaluated": 11, "ActionExecuted": 7}.get(kind)
+        return sum(1 for chunk in (*self._chunks, self._rows) for row in chunk
+                   if len(row) == width or len(row) == 3 and row[2] == kind)
 
 
 def _reject_non_finite(token: str) -> float:
@@ -302,7 +370,7 @@ class CostReport:
 
 
 def build_cost_report(
-    events: list[TraceEvent],
+    events: Iterable[TraceEvent],
     npc_count: int,
     ticks: int,
     tokens_per_call: int = DEFAULT_TOKENS_PER_CALL,

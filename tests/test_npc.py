@@ -3,6 +3,8 @@ migration with hysteresis, and the dialogue seam."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cascade.behavior import ActionLeaf, Condition
@@ -198,56 +200,57 @@ def test_select_action_faults_when_tree_yields_nothing():
 
 
 def test_execute_action_applies_local_effects():
-    updated, events = execute_action(npc(), RAISE_PRICE, tick=4, directive=directive())
+    updated, deltas = execute_action(npc(), RAISE_PRICE)
     assert updated.local_state["wealth"] == 25.0
     assert npc().local_state["wealth"] == 20.0  # input profile untouched
-    assert len(events) == 1
-    event = events[0]
-    assert (event.tick, event.phase, event.kind) == (4, "Act", "ActionExecuted")
-    assert event.payload["npc"] == "merchant_1"
-    assert event.payload["action"] == "raise_price"
-    assert event.payload["directive"] == "d000001"
-    assert event.payload["parameters"] == {"price_delta_pct": 30}
-    assert event.payload["tags"] == ("Merchant", "Greedy")
-    assert event.payload["state_deltas"] == {"wealth": {"before": 20.0, "after": 25.0}}
+    assert updated.tags == ("Merchant", "Greedy")
+    assert deltas == (("wealth", 20.0, 25.0),)
 
 
 def test_execute_action_without_directive():
-    updated, events = execute_action(npc(), ActionBinding("idle"), tick=2)
-    assert updated.local_state == npc().local_state
-    assert events[0].payload["directive"] is None
-    assert events[0].payload["parameters"] == {}
-    assert events[0].payload["state_deltas"] == {}
+    # An action with neither effects nor relief (the fallback "idle") hands
+    # back the profile itself and records no change.
+    profile = npc()
+    updated, deltas = execute_action(profile, ActionBinding("idle"))
+    assert updated is profile
+    assert deltas == ()
+
+
+def test_directive_parameters_are_kept_as_sorted_pairs():
+    d = replace(directive(), parameters={"ration": "half", "price_delta_pct": 30})
+    assert d.parameter_items == (("price_delta_pct", 30), ("ration", "half"))
+    assert d == replace(d)  # derived, so never part of equality
 
 
 def test_wealth_never_goes_negative():
     poor = npc(local_state={"wealth": 2.0})
     binding = ActionBinding("splurge", local_effects={"wealth": -5.0})
-    updated, events = execute_action(poor, binding, tick=1)
+    updated, deltas = execute_action(poor, binding)
     assert updated.local_state["wealth"] == 0.0
-    assert events[0].payload["state_deltas"]["wealth"] == {"before": 2.0, "after": 0.0}
+    assert deltas == (("wealth", 2.0, 0.0),)
 
 
 def test_no_delta_recorded_when_clamp_cancels_the_change():
     broke = npc(local_state={"wealth": 0.0})
     binding = ActionBinding("splurge", local_effects={"wealth": -1.0})
-    updated, events = execute_action(broke, binding, tick=1)
+    updated, deltas = execute_action(broke, binding)
     assert updated.local_state["wealth"] == 0.0
-    assert events[0].payload["state_deltas"] == {}
+    assert deltas == ()
 
 
 def test_execute_action_creates_missing_state_keys():
-    binding = ActionBinding("ration_water", local_effects={"stored_water": 3.0})
-    updated, events = execute_action(npc(), binding, tick=1)
+    binding = ActionBinding("ration_water", local_effects={"wealth": 1.0, "stored_water": 3.0})
+    updated, deltas = execute_action(npc(), binding)
     assert updated.local_state["stored_water"] == 3.0
-    assert events[0].payload["state_deltas"]["stored_water"] == {"before": 0.0, "after": 3.0}
+    assert deltas == (("stored_water", 0.0, 3.0), ("wealth", 20.0, 21.0))  # in key order
 
 
 def test_execute_action_relieves_needs_with_clamp():
     hungry = npc(needs={"hunger": 0.3})
     binding = ActionBinding("eat", satisfies_needs={"hunger": 0.5})
-    updated, _ = execute_action(hungry, binding, tick=1)
+    updated, deltas = execute_action(hungry, binding)
     assert updated.needs["hunger"] == 0.0
+    assert deltas == ()  # relief changes needs, not local state
     # Needs the NPC does not track are not invented by relief.
     assert "thirst" not in updated.needs
 

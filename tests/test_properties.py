@@ -6,9 +6,12 @@ twice."""
 from __future__ import annotations
 
 import copy
+import io
+import json
 from dataclasses import replace
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +49,7 @@ from cascade.npc import (
 )
 from cascade.engine import Simulation, replicate_roster
 from cascade.scenario import load_scenario_file
+from cascade.trace import TraceCollector, TraceEvent, TraceWriter
 
 ALPHABET = ("Farmer", "Guard", "Merchant", "Mayor", "Beggar", "Villager")
 VARIABLES = ("water_scarcity", "crime", "morale", "trade")
@@ -505,14 +509,89 @@ def test_execute_action_never_changes_its_input(case, parameters):
     )
     before = copy.deepcopy(npc)
     directive_before = copy.deepcopy(directive)
-    updated, events = execute_action(npc, binding, tick=1, directive=directive)
+    updated, deltas = execute_action(npc, binding)
     assert npc == before
-    assert directive == directive_before
     assert (updated is npc) == (not binding.local_effects and not binding.satisfies_needs)
-    # The trace line shares the profile's tags and the directive's
-    # parameters rather than copying them; neither is ever mutated.
-    assert events[0].payload["tags"] is npc.tags
-    assert events[0].payload["parameters"] is directive.parameters
+    # The deltas are exactly the local state keys whose value changed.
+    assert deltas == tuple(
+        (key, before.local_state.get(key, 0.0), updated.local_state[key])
+        for key in sorted(updated.local_state)
+        if updated.local_state[key] != before.local_state.get(key, 0.0)
+    )
+    assert directive.parameter_items == tuple(sorted(parameters.items()))
+    assert directive == directive_before
+
+
+# --- typed trace rows --------------------------------------------------------
+
+trace_ids = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "caf\u00e9 \u2603 \U0001d11e", "tab\tline\n", ""]),
+    st.text(max_size=6),
+)
+trace_numbers = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0, 1, -7, 2**70, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def typed_rows(draw):
+    """The arguments of one `utility` or `action` call, and the TraceEvent
+    they stand for, built here as a payload dict. Now and then one number
+    is replaced by a NaN or an infinity."""
+    tick = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        terms = [draw(trace_numbers) for _ in range(6)]
+        if draw(st.integers(0, 4)) == 0:
+            terms[draw(st.integers(0, 5))] = draw(non_finite)
+        npc_id, directive_id, action_id = draw(trace_ids), draw(trace_ids), draw(trace_ids)
+        breakdown = UtilityBreakdown(npc_id, directive_id, *terms, draw(st.booleans()))
+        names = ("base_term", "trait_term", "need_term", "risk_term", "total", "threshold")
+        payload = {"npc": npc_id, "directive": directive_id, "action": action_id, "accepted": breakdown.accepted,
+                   **dict(zip(names, terms))}
+        return "utility", (tick, breakdown, action_id), TraceEvent(tick, "Score", "UtilityEvaluated", payload)
+    parameters = draw(st.dictionaries(trace_ids, st.one_of(trace_ids, trace_numbers), max_size=3))
+    changes = draw(st.dictionaries(trace_ids, st.tuples(trace_numbers, trace_numbers), max_size=3))
+    if changes and draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(sorted(changes)))
+        changes[key] = (changes[key][0], draw(non_finite))
+    directive_id = draw(st.one_of(st.none(), trace_ids))
+    tags = tuple(draw(st.lists(trace_ids, max_size=3)))
+    npc_id, action_id = draw(trace_ids), draw(trace_ids)
+    deltas = tuple((key, before, after) for key, (before, after) in sorted(changes.items()))
+    payload = {
+        "npc": npc_id, "action": action_id, "directive": directive_id, "parameters": parameters, "tags": tags,
+        "state_deltas": {key: {"before": before, "after": after} for key, (before, after) in changes.items()},
+    }
+    args = (tick, npc_id, action_id, directive_id, tuple(sorted(parameters.items())), tags, deltas)
+    return "action", args, TraceEvent(tick, "Act", "ActionExecuted", payload)
+
+
+@settings(max_examples=300)
+@given(row=typed_rows())
+def test_typed_trace_rows_write_what_json_dumps_writes(row):
+    """Both sinks against json.dumps of the equivalent TraceEvent: the
+    writer's line byte for byte, and the collector's rebuilt event both as
+    a value and as the line it dumps to."""
+    method, args, expected = row
+    line = {"tick": expected.tick, "phase": expected.phase, "kind": expected.kind, **expected.payload}
+    sink = io.StringIO()
+    writer = TraceWriter(sink, {})
+    collector = TraceCollector()
+    getattr(collector, method)(*args)
+    (event,) = collector.events
+    assert event == expected
+    try:
+        expected_line = json.dumps(line, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            getattr(writer, method)(*args)
+        return
+    getattr(writer, method)(*args)
+    assert sink.getvalue().splitlines()[1] == expected_line
+    assert json.dumps(event.to_line_dict(), sort_keys=True, separators=(",", ":")) == expected_line
 
 
 # --- migration hysteresis ----------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from conftest import MARKET_PATH
 
 from cascade.engine import Simulation
 from cascade.scenario import load_scenario
+from cascade.npc import UtilityBreakdown
 from cascade.trace import (
+    CHUNK_ROWS,
     CostReport,
     DEFAULT_TOKENS_PER_CALL,
     KINDS,
@@ -174,58 +177,100 @@ def test_payload_flattens_beside_the_envelope():
 
 
 def test_collector_counts_by_kind():
+    # An event of a typed kind may still arrive through emit, with any
+    # payload; it comes back as it went in.
     collector = TraceCollector(META)
     collector.emit(TraceEvent(1, "Act", "ActionExecuted", {}))
-    collector.emit(TraceEvent(1, "Act", "ActionExecuted", {}))
+    collector.action(1, "a", "idle", None, (), (), ())
     collector.emit(TraceEvent(1, "Dialogue", "DialogueRequested", {}))
     assert collector.count("ActionExecuted") == 2
     assert collector.count("DialogueRequested") == 1
     assert collector.count("EventFired") == 0
+    assert Counter(e.kind for e in collector.events) == {"ActionExecuted": 2, "DialogueRequested": 1}
+    assert next(iter(collector.events)) == TraceEvent(1, "Act", "ActionExecuted", {})
 
 
 def test_collector_events_rebuild_in_emit_order():
     collector = TraceCollector(META)
+    breakdown = UtilityBreakdown("a", "d000001", 0.5, 0.0, 0.25, 0.1, 0.65, 0.5, True)
     emitted = [
-        TraceEvent(1, "Score", "UtilityEvaluated", {"npc": "a", "total": 0.5}),
-        TraceEvent(1, "Act", "ActionExecuted", {"npc": "a"}),
+        TraceEvent(1, "Critic", "EventFired", {"event": "riot@1", "trigger_snapshot": {"unrest": 0.9}}),
+        TraceEvent(1, "Score", "UtilityEvaluated", {
+            "npc": "a", "directive": "d000001", "action": "sell", "base_term": 0.5, "trait_term": 0.0,
+            "need_term": 0.25, "risk_term": 0.1, "total": 0.65, "threshold": 0.5, "accepted": True,
+        }),
+        TraceEvent(1, "Act", "ActionExecuted", {
+            "npc": "a", "action": "sell", "directive": "d000001", "parameters": {"pct": 30, "mood": "calm"},
+            "tags": ("Merchant",), "state_deltas": {"wealth": {"before": 2.0, "after": 7.0}},
+        }),
+        TraceEvent(1, "Act", "ActionExecuted", {
+            "npc": "b", "action": "idle", "directive": None, "parameters": {}, "tags": (), "state_deltas": {},
+        }),
         TraceEvent(2, "Clock", "VariableChanged", {"variable": "v", "intensity": 0.1}),
     ]
-    for event in emitted:
-        collector.emit(event)
-    assert collector.events == emitted
-    assert collector.events is not collector.events  # a fresh list on each access
+    collector.emit(emitted[0])
+    collector.utility(1, breakdown, "sell")
+    collector.action(1, "a", "sell", "d000001", (("mood", "calm"), ("pct", 30)), ("Merchant",), (("wealth", 2.0, 7.0),))
+    collector.action(1, "b", "idle", None, (), (), ())
+    collector.emit(emitted[4])
+    events = collector.events
+    assert len(events) == 5
+    assert events == emitted and emitted == events
+    assert events != emitted[:4] and events != emitted[::-1]
+    assert list(events) == list(events) == emitted  # every pass rebuilds the same events
 
 
-def _tracked_objects_held(collector: TraceCollector) -> int:
-    """Distinct objects the garbage collector tracks, reachable from the
-    collector's own fields through lists, tuples, dicts and TraceEvents."""
+def test_collector_seals_full_chunks_in_order():
+    collector = TraceCollector(META)
+    count = 2 * CHUNK_ROWS + 5
+    for tick in range(count):
+        collector.action(tick, "a", "idle", None, (), (), ())
+    assert len(collector.events) == count
+    assert [e.tick for e in collector.events] == list(range(count))
+
+
+def _tracked_objects_held(roots) -> int:
+    """Distinct objects the garbage collector tracks, reachable from
+    `roots` through lists, tuples and dicts."""
     seen: set[int] = set()
     tracked = 0
-    stack = list(vars(collector).values())
+    stack = list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         tracked += gc.is_tracked(obj)
-        if isinstance(obj, (list, tuple, dict, TraceEvent)):
+        if isinstance(obj, (list, tuple, dict)):
             stack.extend(ref for ref in gc.get_referents(obj) if not isinstance(ref, type))
     return tracked
 
 
-def test_collected_trace_stays_out_of_full_collections():
-    # Every tracked object a run keeps is walked by each full collection.
-    # Envelopes and flat payloads must be untracked, and an ActionExecuted
-    # payload may add only itself and a non-empty state_deltas map: the tags
-    # and parameters it holds belong to the profile and the directive.
-    sim = Simulation(load_scenario(MARKET_PATH.read_text(encoding="utf-8")), seed=7, npc_count=1000)
+def _market_trace(npcs: int) -> TraceCollector:
+    sim = Simulation(load_scenario(MARKET_PATH.read_text(encoding="utf-8")), seed=7, npc_count=npcs)
     for _ in range(30):
         sim.step()
-    gc.collect()
-    acts = [e.payload for e in sim.trace.events if e.kind == "ActionExecuted"]
-    with_deltas = sum(1 for payload in acts if payload["state_deltas"])
-    assert len(acts) == 30_000 and with_deltas > 0
-    assert _tracked_objects_held(sim.trace) <= len(acts) + with_deltas + 200
+    # Each full collection stops tracking the exact tuples whose items it
+    # found untracked, one level of nesting at a time: a directive's
+    # parameter pairs, then the pairs' tuple, then the rows, then a chunk.
+    for _ in range(4):
+        gc.collect()
+    return sim.trace
+
+
+def test_collected_trace_stays_out_of_full_collections():
+    # Every tracked object a run keeps is walked by each full collection.
+    # The collector may hold its three lists and the payloads of the rare
+    # kinds that carry containers (a fired event's trigger snapshot, an
+    # issued directive's packet, a delivery's NPC list), and nothing per
+    # NPC: the count is the same at 100 and at 1,000 NPCs.
+    large = _market_trace(1000)
+    events = list(large.events)
+    assert sum(1 for e in events if e.kind == "ActionExecuted") == 30_000
+    rare = [e.payload for e in events if e.kind not in ("UtilityEvaluated", "ActionExecuted")]
+    held = _tracked_objects_held(vars(large).values())
+    assert held == 3 + _tracked_objects_held(rare)
+    assert held == _tracked_objects_held(vars(_market_trace(100)).values())
 
 
 def test_round_trip_through_writer_and_reader():
