@@ -11,6 +11,7 @@ invariant violation, 4 benchmark assertion failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
@@ -56,19 +57,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     scenario, seed = opened
 
+    # A failed run must leave an earlier trace intact, so write beside it.
+    partial = args.trace + ".tmp"
     try:
-        stream = open(args.trace, "w", encoding="utf-8")
+        stream = open(partial, "w", encoding="utf-8")
     except OSError as exc:
         return _fail(f"cannot open trace for writing: {exc}", EXIT_INVARIANT)
     try:
-        sim = Simulation(
-            scenario,
-            seed=seed,
-            npc_count=args.npcs,
-            baseline_mode=args.baseline,
-            trace_stream=stream,
-        )
-        summary = sim.run(args.ticks)
+        with stream:
+            sim = Simulation(
+                scenario,
+                seed=seed,
+                npc_count=args.npcs,
+                baseline_mode=args.baseline,
+                trace_stream=stream,
+            )
+            summary = sim.run(args.ticks)
+        os.replace(partial, args.trace)
     except InvariantViolation as exc:
         return _fail(f"invariant violation: {exc}", EXIT_INVARIANT)
     except ValueError as exc:
@@ -76,7 +81,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"trace write failed: {exc}", EXIT_INVARIANT)
     finally:
-        stream.close()
+        if os.path.exists(partial):
+            os.remove(partial)
     print(summary.line())
     return EXIT_OK
 

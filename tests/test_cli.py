@@ -91,6 +91,29 @@ def test_run_rejects_npcs_below_one_before_opening_the_trace(npcs, golden_file, 
     assert trace.read_bytes() == b"an earlier trace\n"
 
 
+def test_failed_run_keeps_the_earlier_trace(golden_path, tmp_path, capsys):
+    # Replicating the drought town's roster to 30 NPCs names the second copy
+    # of `mayor` "mayor_x1", which this town already uses, so the roster
+    # check in Simulation fails once the scenario has loaded.
+    doc = json.loads(golden_path.read_text(encoding="utf-8"))
+    for npc in doc["npcs"]:
+        if npc["id"] == "merchant_1":
+            npc["id"] = "mayor_x1"
+    scenario = tmp_path / "clash.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(b"an earlier trace\n")
+    code = run_cli("run", "--scenario", str(scenario), "--ticks", "1", "--trace", str(trace), "--npcs", "30")
+    assert code == EXIT_INPUT
+    assert "duplicate npc id 'mayor_x1'" in capsys.readouterr().err
+    assert trace.read_bytes() == b"an earlier trace\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.json", "t.jsonl"]
+    # A complete run replaces the earlier trace and leaves nothing beside it.
+    assert run_cli("run", "--scenario", str(scenario), "--ticks", "1", "--trace", str(trace)) == EXIT_OK
+    assert json.loads(trace.read_text(encoding="utf-8").splitlines()[0])["npc_count"] == 10
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.json", "t.jsonl"]
+
+
 def test_run_rejects_oversized_seed(golden_file, tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", golden_file, "--ticks", "1",
