@@ -224,8 +224,7 @@ class Directive:
     risk: float  # in [0, 1]
     issued_tick: int
     ttl_ticks: int  # >= 1
-    # `parameters` as key-sorted pairs, the form every ActionExecuted line
-    # records; computed once here rather than on every action.
+    # `parameters` as key-sorted pairs for the trace, computed once here.
     parameter_items: tuple[tuple[str, Scalar], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -172,26 +172,28 @@ def encode_event(event: TraceEvent) -> str:
 
 
 # The two per-NPC kinds reach a sink as parts, not as events:
-# `utility(tick, breakdown, action_id)` with an npc.UtilityBreakdown, whose
-# payload keys follow, and `action(tick, npc_id, action_id, directive_id,
-# parameter_items, tags, deltas)` with key-sorted pairs and deltas.
+# `utility(tick, breakdown, action_id)` with an npc.UtilityBreakdown, and
+# `action(tick, npc_id, action_id, directive_id, parameter_items, tags,
+# deltas)` with key-sorted pairs and deltas.
 Deltas = tuple[tuple[str, float, float], ...]  # (key, before, after)
-_UTILITY_KEYS = ("action", "npc", "directive", "base_term", "trait_term", "need_term", "risk_term",
-                 "total", "threshold", "accepted")
 
 
-def _utility_event(tick: int, *fields: Any) -> TraceEvent:
-    return TraceEvent(tick, "Score", "UtilityEvaluated", dict(zip(_UTILITY_KEYS, fields)))
+def _utility_event(tick: int, action_id: str, npc_id: str, directive_id: str, base_term: float, trait_term: float,
+                   need_term: float, risk_term: float, total: float, threshold: float, accepted: bool) -> TraceEvent:
+    return TraceEvent(tick, "Score", "UtilityEvaluated", {
+        "npc": npc_id, "directive": directive_id, "action": action_id, "base_term": base_term,
+        "trait_term": trait_term, "need_term": need_term, "risk_term": risk_term, "total": total,
+        "threshold": threshold, "accepted": accepted})
 
 
 def _action_event(tick: int, npc_id: str, action_id: str, directive_id: Optional[str],
                   parameter_items: tuple[tuple[str, Any], ...], tags: tuple[str, ...],
                   deltas: Deltas) -> TraceEvent:
+    # Most actions come without a directive or a state change.
     return TraceEvent(tick, "Act", "ActionExecuted", {
         "npc": npc_id, "action": action_id, "directive": directive_id,
-        "parameters": dict(parameter_items), "tags": tags,
-        "state_deltas": {key: {"before": before, "after": after} for key, before, after in deltas},
-    })
+        "parameters": dict(parameter_items) if parameter_items else {}, "tags": tags,
+        "state_deltas": {key: {"before": b, "after": a} for key, b, a in deltas} if deltas else {}})
 
 
 class TraceWriter:
@@ -219,9 +221,8 @@ CHUNK_ROWS = 4096
 
 
 class CollectedEvents:
-    """The events of a TraceCollector in emit order, as a read-only view.
-    Iterating rebuilds each TraceEvent, payload dict included, one at a
-    time, so reading a run's trace never holds a second copy of it."""
+    """A read-only view of a TraceCollector's events in emit order: each
+    pass rebuilds them one at a time, so reading never copies the trace."""
 
     def __init__(self, collector: "TraceCollector") -> None:
         self._collector = collector
@@ -253,14 +254,14 @@ class TraceCollector:
     benchmark, where counting matters and files would just slow things down.
 
     Each event is one row, an exact tuple of strings, numbers, None and
-    exact tuples: the arguments of `utility` (11 items) or of `action` (7),
-    or the (tick, phase, kind) of an emitted event (3), whose payload goes
-    to a side list in the same order. Every CHUNK_ROWS rows are sealed into
-    a tuple. CPython stops tracking an exact tuple once nothing it holds is
-    tracked, so after a full collection the garbage collector walks only
-    the three lists and the few rare-kind payloads that hold containers,
-    however long the run. Only `action` seals: every NPC acts every tick.
-    `events` is a lazy view that rebuilds the TraceEvents in emit order."""
+    exact tuples: the tick, action id and breakdown of `utility` (11
+    items), the arguments of `action` (7), or the (tick, phase, kind) of an
+    emitted event (3), whose payload goes to a side list. Every CHUNK_ROWS
+    rows are sealed into a tuple; only `action` seals, as every NPC acts
+    every tick. CPython stops tracking an exact tuple once nothing it holds
+    is tracked, so after a full collection the garbage collector walks only
+    the three lists and the few rare payloads that hold containers, however
+    long the run. `events` is a lazy view that rebuilds the TraceEvents."""
 
     def __init__(self, meta: Optional[dict[str, Any]] = None) -> None:
         self.meta = meta or {}

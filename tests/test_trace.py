@@ -229,18 +229,19 @@ def test_collector_seals_full_chunks_in_order():
     assert [e.tick for e in collector.events] == list(range(count))
 
 
-def _tracked_objects_held(roots) -> int:
+def _tracked_objects_held(roots) -> list:
     """Distinct objects the garbage collector tracks, reachable from
     `roots` through lists, tuples and dicts."""
     seen: set[int] = set()
-    tracked = 0
+    tracked = []
     stack = list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        tracked += gc.is_tracked(obj)
+        if gc.is_tracked(obj):
+            tracked.append(obj)
         if isinstance(obj, (list, tuple, dict)):
             stack.extend(ref for ref in gc.get_referents(obj) if not isinstance(ref, type))
     return tracked
@@ -269,8 +270,12 @@ def test_collected_trace_stays_out_of_full_collections():
     assert sum(1 for e in events if e.kind == "ActionExecuted") == 30_000
     rare = [e.payload for e in events if e.kind not in ("UtilityEvaluated", "ActionExecuted")]
     held = _tracked_objects_held(vars(large).values())
-    assert held == 3 + _tracked_objects_held(rare)
-    assert held == _tracked_objects_held(vars(_market_trace(100)).values())
+    assert len(held) == 3 + len(_tracked_objects_held(rare))
+    assert len(held) == len(_tracked_objects_held(vars(_market_trace(100)).values()))
+    # A collection also visits each item of a tracked container; sealed
+    # chunks keep the rows out of any one long list.
+    assert len(events) > 4 * CHUNK_ROWS
+    assert max(len(gc.get_referents(obj)) for obj in held) < 2 * CHUNK_ROWS
 
 
 def test_round_trip_through_writer_and_reader():
