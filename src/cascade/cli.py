@@ -11,13 +11,12 @@ invariant violation, 4 benchmark assertion failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional
 
 from .core import InvariantViolation
-from .engine import Simulation
+from .engine import Simulation, build_roster
 from .scenario import MAX_SEED, Scenario, ScenarioError, load_scenario_file
 from .trace import DEFAULT_TOKENS_PER_CALL, TraceError, TraceEvent, build_cost_report, read_trace_file
 
@@ -57,23 +56,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     scenario, seed = opened
 
-    # A failed run must leave an earlier trace intact, so write beside it.
-    partial = args.trace + ".tmp"
+    # Check the roster first, so a town that cannot run leaves an earlier trace as it was.
     try:
-        stream = open(partial, "w", encoding="utf-8")
+        build_roster(scenario.npcs, args.npcs)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    try:
+        stream = open(args.trace, "w", encoding="utf-8")
     except OSError as exc:
         return _fail(f"cannot open trace for writing: {exc}", EXIT_INVARIANT)
     try:
-        with stream:
-            sim = Simulation(
-                scenario,
-                seed=seed,
-                npc_count=args.npcs,
-                baseline_mode=args.baseline,
-                trace_stream=stream,
-            )
-            summary = sim.run(args.ticks)
-        os.replace(partial, args.trace)
+        sim = Simulation(
+            scenario,
+            seed=seed,
+            npc_count=args.npcs,
+            baseline_mode=args.baseline,
+            trace_stream=stream,
+        )
+        summary = sim.run(args.ticks)
     except InvariantViolation as exc:
         return _fail(f"invariant violation: {exc}", EXIT_INVARIANT)
     except ValueError as exc:
@@ -81,8 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"trace write failed: {exc}", EXIT_INVARIANT)
     finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+        stream.close()
     print(summary.line())
     return EXIT_OK
 

@@ -71,6 +71,17 @@ def replicate_roster(npcs: tuple[NpcProfile, ...], target: int) -> tuple[NpcProf
     return tuple(out)
 
 
+def build_roster(npcs: tuple[NpcProfile, ...], npc_count: Optional[int] = None) -> tuple[NpcProfile, ...]:
+    """`npcs`, replicated to `npc_count` if given; a repeated id is a ValueError."""
+    roster = npcs if npc_count is None else replicate_roster(npcs, npc_count)
+    seen: set[str] = set()
+    for npc in roster:
+        if npc.id in seen:
+            raise ValueError(f"duplicate npc id {npc.id!r} in roster")
+        seen.add(npc.id)
+    return roster
+
+
 def run_meta(scenario: Scenario, seed: int, npc_count: int) -> dict[str, Any]:
     return {
         "scenario": scenario.name,
@@ -96,14 +107,8 @@ class Simulation:
             raise ValueError(f"unknown baseline mode {baseline_mode!r}")
         self.scenario = scenario
         self.seed = scenario.seed_default if seed is None else seed
-        roster = scenario.npcs
-        if npc_count is not None:
-            roster = replicate_roster(roster, npc_count)
-        self.npcs: dict[str, NpcProfile] = {}
-        for npc in roster:
-            if npc.id in self.npcs:
-                raise ValueError(f"duplicate npc id {npc.id!r} in roster")
-            self.npcs[npc.id] = npc
+        roster = build_roster(scenario.npcs, npc_count)
+        self.npcs: dict[str, NpcProfile] = {npc.id: npc for npc in roster}
         self._order = sorted(self.npcs)
         self._tag_index = TagIndex(roster)
         self.meta = run_meta(scenario, self.seed, len(roster))
@@ -234,11 +239,9 @@ class Simulation:
             action_id = select_action(npc, accepted, self.scenario.tree, self.ledger, self.directive_index)
             best = best_breakdown(accepted)
             updated, deltas = execute_action(npc, self.scenario.catalog[action_id])
-            if best is None:
-                trace.action(tick, npc_id, action_id, None, (), npc.tags, deltas)
-            else:
-                directive = self.directive_index[best.directive_id]
-                trace.action(tick, npc_id, action_id, directive.id, directive.parameter_items, npc.tags, deltas)
+            directive = self.directive_index[best.directive_id] if best is not None else None
+            directive_id, parameter_items = (None, ()) if directive is None else (directive.id, directive.parameter_items)
+            trace.action(tick, npc_id, action_id, directive_id, parameter_items, npc.tags, deltas)
             self.npcs[npc_id] = updated
             self.last_action[npc_id] = action_id
             self.summary.actions_executed += 1

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -94,7 +97,7 @@ def test_run_rejects_npcs_below_one_before_opening_the_trace(npcs, golden_file, 
 def test_failed_run_keeps_the_earlier_trace(golden_path, tmp_path, capsys):
     # Replicating the drought town's roster to 30 NPCs names the second copy
     # of `mayor` "mayor_x1", which this town already uses, so the roster
-    # check in Simulation fails once the scenario has loaded.
+    # check fails once the scenario has loaded, before the trace is opened.
     doc = json.loads(golden_path.read_text(encoding="utf-8"))
     for npc in doc["npcs"]:
         if npc["id"] == "merchant_1":
@@ -112,6 +115,36 @@ def test_failed_run_keeps_the_earlier_trace(golden_path, tmp_path, capsys):
     assert run_cli("run", "--scenario", str(scenario), "--ticks", "1", "--trace", str(trace)) == EXIT_OK
     assert json.loads(trace.read_text(encoding="utf-8").splitlines()[0])["npc_count"] == 10
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.json", "t.jsonl"]
+
+
+def test_run_writes_to_dev_null(golden_file):
+    assert run_cli("run", "--scenario", golden_file, "--ticks", "2", "--trace", os.devnull) == EXIT_OK
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_run_writes_into_a_fifo(golden_file, tmp_path):
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = run_cli("run", "--scenario", golden_file, "--ticks", "2", "--trace", str(fifo))
+    reader.join(timeout=30)
+    assert code == EXIT_OK
+    assert received and json.loads(received[0].splitlines()[0])["npc_count"] == 10
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.fifo"]
+
+
+def test_run_writes_through_a_symlink(golden_file, tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"an earlier trace\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert run_cli("run", "--scenario", golden_file, "--ticks", "2", "--trace", str(link)) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8").splitlines()[0])["npc_count"] == 10
 
 
 def test_run_rejects_oversized_seed(golden_file, tmp_path, capsys):
