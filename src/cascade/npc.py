@@ -130,8 +130,8 @@ def select_action(
 
 def execute_action(npc: NpcProfile, binding: ActionBinding) -> tuple[NpcProfile, Deltas]:
     """Apply the action's local effects (wealth never drops below 0) and
-    need relief; also return the (key, before, after) state deltas, one
-    per local state key that changed, in key order.
+    need relief; return it with the (key, before, after) deltas of the
+    local state keys that changed, in key order.
 
     The input profile is never changed. An action with neither effects nor
     relief returns it as it is; otherwise a new profile gets fresh copies

@@ -9,7 +9,6 @@ the phase enum below fixes the within-tick order.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import Any, IO, Iterable, Iterator, NamedTuple, Optional
 
@@ -171,10 +170,8 @@ def encode_event(event: TraceEvent) -> str:
     return _dump(event.to_line_dict())
 
 
-# The two per-NPC kinds reach a sink as parts, not as events:
-# `utility(tick, breakdown, action_id)` with an npc.UtilityBreakdown, and
-# `action(tick, npc_id, action_id, directive_id, parameter_items, tags,
-# deltas)` with key-sorted pairs and deltas.
+# The two per-NPC kinds reach a sink as parts, not as events: `utility`
+# takes an npc.UtilityBreakdown, `action` key-sorted pairs and deltas.
 Deltas = tuple[tuple[str, float, float], ...]  # (key, before, after)
 
 
@@ -187,9 +184,7 @@ def _utility_event(tick: int, action_id: str, npc_id: str, directive_id: str, ba
 
 
 def _action_event(tick: int, npc_id: str, action_id: str, directive_id: Optional[str],
-                  parameter_items: tuple[tuple[str, Any], ...], tags: tuple[str, ...],
-                  deltas: Deltas) -> TraceEvent:
-    # Most actions come without a directive or a state change.
+                  parameter_items: tuple[tuple[str, Any], ...], tags: tuple[str, ...], deltas: Deltas) -> TraceEvent:
     return TraceEvent(tick, "Act", "ActionExecuted", {
         "npc": npc_id, "action": action_id, "directive": directive_id,
         "parameters": dict(parameter_items) if parameter_items else {}, "tags": tags,
@@ -216,8 +211,14 @@ class TraceWriter:
         self._sink.flush()
 
 
-# Rows per sealed chunk of a TraceCollector.
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 4096  # rows per sealed chunk of a TraceCollector
+# A collector row's width tells its kind: an emitted (tick, phase, kind),
+# the arguments of `_action_event`, or else those of `_utility_event`.
+EMITTED_ROW, ACTION_ROW = 3, 7
+
+
+def _row_kind(row: tuple) -> str:
+    return row[2] if len(row) == EMITTED_ROW else "ActionExecuted" if len(row) == ACTION_ROW else "UtilityEvaluated"
 
 
 class CollectedEvents:
@@ -232,13 +233,13 @@ class CollectedEvents:
         payloads = iter(collector._payloads)
         for chunk in (*collector._chunks, collector._rows):
             for row in chunk:
-                # A row's length tells its layout (see TraceCollector).
-                if len(row) == 3:
+                width = len(row)
+                if width == EMITTED_ROW:
                     yield TraceEvent(*row, next(payloads))
-                elif len(row) == 11:
-                    yield _utility_event(*row)
-                else:
+                elif width == ACTION_ROW:
                     yield _action_event(*row)
+                else:
+                    yield _utility_event(*row)
 
     def __len__(self) -> int:
         return sum(map(len, self._collector._chunks)) + len(self._collector._rows)
@@ -246,22 +247,20 @@ class CollectedEvents:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (CollectedEvents, list)):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class TraceCollector:
     """In-memory sink with the TraceWriter interface; used by tests and the
     benchmark, where counting matters and files would just slow things down.
 
-    Each event is one row, an exact tuple of strings, numbers, None and
-    exact tuples: the tick, action id and breakdown of `utility` (11
-    items), the arguments of `action` (7), or the (tick, phase, kind) of an
-    emitted event (3), whose payload goes to a side list. Every CHUNK_ROWS
-    rows are sealed into a tuple; only `action` seals, as every NPC acts
-    every tick. CPython stops tracking an exact tuple once nothing it holds
-    is tracked, so after a full collection the garbage collector walks only
-    the three lists and the few rare payloads that hold containers, however
-    long the run. `events` is a lazy view that rebuilds the TraceEvents."""
+    Each event is one row, an exact tuple of atoms and exact tuples (see
+    EMITTED_ROW); an emitted event's payload goes to a side list. `action`
+    seals every CHUNK_ROWS rows into a tuple, as every NPC acts every tick.
+    CPython stops tracking an exact tuple once nothing it holds is tracked,
+    so a full collection walks only the three lists and the few rare
+    payloads that hold containers, however long the run. `events` is a
+    lazy view that rebuilds the TraceEvents."""
 
     def __init__(self, meta: Optional[dict[str, Any]] = None) -> None:
         self.meta = meta or {}
@@ -291,9 +290,7 @@ class TraceCollector:
         return CollectedEvents(self)
 
     def count(self, kind: str) -> int:
-        width = {"UtilityEvaluated": 11, "ActionExecuted": 7}.get(kind)
-        return sum(1 for chunk in (*self._chunks, self._rows) for row in chunk
-                   if len(row) == width or len(row) == 3 and row[2] == kind)
+        return sum(1 for chunk in (*self._chunks, self._rows) for row in chunk if _row_kind(row) == kind)
 
 
 def _reject_non_finite(token: str) -> float:

@@ -17,9 +17,11 @@ from cascade.engine import Simulation
 from cascade.scenario import load_scenario
 from cascade.npc import UtilityBreakdown
 from cascade.trace import (
+    ACTION_ROW,
     CHUNK_ROWS,
     CostReport,
     DEFAULT_TOKENS_PER_CALL,
+    EMITTED_ROW,
     KINDS,
     PHASES,
     PHASE_INDEX,
@@ -188,6 +190,11 @@ def test_collector_counts_by_kind():
     assert collector.count("EventFired") == 0
     assert Counter(e.kind for e in collector.events) == {"ActionExecuted": 2, "DialogueRequested": 1}
     assert next(iter(collector.events)) == TraceEvent(1, "Act", "ActionExecuted", {})
+
+
+def test_collector_row_widths_tell_the_kinds_apart():
+    # A utility row is the tick and the action id before a whole breakdown.
+    assert len(UtilityBreakdown._fields) + 2 not in (EMITTED_ROW, ACTION_ROW)
 
 
 def test_collector_events_rebuild_in_emit_order():
